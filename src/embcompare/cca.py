@@ -1,10 +1,14 @@
 """Canonical correlation analysis between two embedding spaces.
 
-Whitening is done per side via symmetric eigendecomposition of the
-(optionally ridge-regularized) auto-covariance; the canonical correlations
-are then the singular values of the whitened cross-covariance, which makes
-the descending order intrinsic.  Covariances use population (1/n)
-normalization; the factor cancels in the correlations.
+All three covariance blocks are read from the pair's joint covariance
+(:attr:`AlignedPair.covariance`), which the kappa grid shares.  Whitening is
+done per side via symmetric eigendecomposition of the (optionally
+ridge-regularized) auto-covariance; the canonical correlations are then the
+singular values of the whitened cross-covariance, which makes the
+descending order intrinsic.  Covariances use population (1/n)
+normalization; the factor cancels in the correlations.  An exactly constant
+column has no variance: its direction is dropped under the default ridge,
+and a fit at regularization 0 fails as numerically singular.
 """
 from __future__ import annotations
 
@@ -138,25 +142,21 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
     the ridge are treated as zero and their directions dropped (with a
     warning), reducing ``k``.
     """
-    x = pair.left.values
-    y = pair.right.values
     n = pair.shared_count
+    dx, dy = pair.left.n_dims, pair.right.n_dims
     if n < 2:
         raise ValueError("need at least 2 shared words to fit CCA")
-    if n <= max(x.shape[1], y.shape[1]):
+    if n <= max(dx, dy):
         warnings.warn(
-            f"only {n} shared words for {x.shape[1]}x{y.shape[1]} dimensions; "
+            f"only {n} shared words for {dx}x{dy} dimensions; "
             "canonical correlations will be unreliable",
             stacklevel=2,
         )
     if regularization is not None and regularization < 0:
         raise ValueError("regularization must be >= 0")
 
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    cov_xx = (xc.T @ xc) / n
-    cov_yy = (yc.T @ yc) / n
-    cov_xy = (xc.T @ yc) / n
+    cov = pair.covariance
+    cov_xx, cov_yy, cov_xy = cov[:dx, :dx], cov[dx:, dx:], cov[:dx, dx:]
 
     if regularization is None:
         ridge_left = RIDGE_FACTOR * float(np.trace(cov_xx)) / cov_xx.shape[0]

@@ -46,6 +46,8 @@ from .synthgen import (
 )
 
 THREADS_ENV = "EMBCOMPARE_THREADS"
+# answers-CSV columns that identify a question; `agreement` pairs rows by position
+_QUESTION_COLUMNS = ("question_index", "a", "b", "c", "d")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,7 +98,7 @@ def cmd_compare(args) -> int:
     right = parse_embedding(args.right, format_hint=args.format)
     pair = align_vocabularies(left, right)
 
-    kappa = correlation_matrix(pair, workers=workers)
+    kappa = correlation_matrix(pair)
     kappa_hist = histogram(kappa.values.ravel(), bins=args.bins, with_kde=args.kde)
     matching = one_to_one_score(kappa, use_abs=args.abs_correlation)
     cca_result = cca_fit(pair, regularization=args.regularization)
@@ -245,6 +247,14 @@ def cmd_agreement(args) -> int:
         raise ValueError(
             f"answer files differ in length: {len(rows_a)} vs {len(rows_b)}"
         )
+    for row, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
+        question_a = [ra[k] for k in _QUESTION_COLUMNS]
+        question_b = [rb[k] for k in _QUESTION_COLUMNS]
+        if question_a != question_b:
+            raise ValueError(
+                f"answer files disagree on the question in row {row}: "
+                f"{' '.join(question_a)!r} vs {' '.join(question_b)!r}"
+            )
     labels_a = [r["predicted"] if r["status"] == ANSWERED else None for r in rows_a]
     labels_b = [r["predicted"] if r["status"] == ANSWERED else None for r in rows_b]
     result = krippendorff_alpha(labels_a, labels_b)
@@ -327,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help=f"worker threads (default: ${THREADS_ENV} or CPU count); "
-            "never changes results",
+            help=f"analogy-scoring threads (default: ${THREADS_ENV} or CPU "
+            "count); never changes results",
         )
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 

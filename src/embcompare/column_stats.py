@@ -4,29 +4,27 @@ The central object is the dimension-pair correlation grid: entry ``(i, j)``
 is the Pearson correlation between feature column ``i`` of one embedding
 and feature column ``j`` of another, over their shared vocabulary.
 
-All statistics use population (1/n) normalization; the factor cancels in
-correlations.  Zero-variance columns get correlation 0 and are flagged
-rather than producing NaN.
+The grid is read from the pair's joint covariance
+(:attr:`AlignedPair.covariance`), the same one :func:`~embcompare.cca.cca_fit`
+whitens, so the data is centred and multiplied once for both metrics.  It
+uses population (1/n) normalization; the factor cancels in correlations.
+A column that is exactly constant (max == min), or whose variance
+underflows to 0, gets correlation 0 and is flagged rather than producing
+NaN or rounding noise.
 """
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from .embedding_io import AlignedPair
 
 DEFAULT_BINS = 60
 KDE_POINTS = 256
-
-# Cross-products are always evaluated in fixed-width column blocks so the
-# result is bit-identical no matter how many workers execute the blocks.
-_COLUMN_BLOCK = 32
 
 _RANGE_TOL = 1e-12
 
@@ -102,33 +100,6 @@ class HistogramSummary:
             w.writerow([repr(float(x)), repr(float(y))])
 
 
-def column_means(values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64).mean(axis=0)
-
-
-def column_stds(values: np.ndarray) -> np.ndarray:
-    """Population (1/n) standard deviation of each column."""
-    values = np.asarray(values, dtype=np.float64)
-    centered = values - values.mean(axis=0)
-    return np.sqrt(np.einsum("ij,ij->j", centered, centered) / values.shape[0])
-
-
-def standardize_columns(values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Center and scale columns to zero mean, unit population variance.
-
-    Zero-variance columns are set to all zeros and their indices returned.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    centered = values - values.mean(axis=0)
-    var = np.einsum("ij,ij->j", centered, centered) / values.shape[0]
-    degenerate = var == 0.0
-    scale = np.sqrt(np.where(degenerate, 1.0, var))
-    centered /= scale
-    if degenerate.any():
-        centered[:, degenerate] = 0.0
-    return centered, tuple(int(i) for i in np.where(degenerate)[0])
-
-
 def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
     """Pearson correlation of two equal-length vectors, clamped to [-1, 1].
 
@@ -153,45 +124,31 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
     return float(min(1.0, max(-1.0, r)))
 
 
-def correlation_matrix(pair: AlignedPair, workers: int | None = None) -> CorrelationMatrix:
+def correlation_matrix(pair: AlignedPair) -> CorrelationMatrix:
     """Pearson correlation between every left column and every right column.
 
-    Entry ``(i, j)`` equals ``pearson(left[:, i], right[:, j])``.  The
-    computation is partitioned into fixed-width column blocks, so the output
-    is bit-identical for any ``workers`` count.
+    Entry ``(i, j)`` equals ``pearson(left[:, i], right[:, j])``: the cross
+    block of ``pair.covariance`` scaled by both sides' standard deviations.
     """
     if pair.shared_count < 2:
         raise ValueError("need at least 2 shared words to correlate columns")
-    z_left, deg_left = standardize_columns(pair.left.values)
-    z_right, deg_right = standardize_columns(pair.right.values)
-    n = pair.shared_count
-    d_left = z_left.shape[1]
-    d_right = z_right.shape[1]
-    out = np.empty((d_left, d_right), dtype=np.float64)
-
-    blocks = [
-        slice(start, min(start + _COLUMN_BLOCK, d_right))
-        for start in range(0, d_right, _COLUMN_BLOCK)
-    ]
-
-    def fill(sl: slice) -> None:
-        out[:, sl] = z_left.T @ z_right[:, sl]
-
-    if workers is None or workers <= 1 or len(blocks) == 1:
-        for sl in blocks:
-            fill(sl)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
-
-    out /= n
+    sides = (pair.left.values, pair.right.values)
+    d = pair.left.n_dims
+    cov = pair.covariance
+    std = np.sqrt(np.diag(cov))
+    degenerate = np.concatenate([v.max(axis=0) == v.min(axis=0) for v in sides])
+    degenerate |= std == 0.0  # variance underflow: no usable scale either
+    std[degenerate] = 1.0
+    out = cov[:d, d:] / np.outer(std[:d], std[d:])
+    out[degenerate[:d], :] = 0.0
+    out[:, degenerate[d:]] = 0.0
     np.clip(out, -1.0, 1.0, out=out)
     return CorrelationMatrix(
         values=out,
         left_name=pair.left.name,
         right_name=pair.right.name,
-        degenerate_left=deg_left,
-        degenerate_right=deg_right,
+        degenerate_left=tuple(int(i) for i in np.flatnonzero(degenerate[:d])),
+        degenerate_right=tuple(int(i) for i in np.flatnonzero(degenerate[d:])),
     )
 
 
@@ -219,6 +176,8 @@ def histogram(
 
     kde_points = None
     if with_kde and vals.size > 1 and lo < hi:
+        from scipy.stats import gaussian_kde  # scipy.stats is slow to import
+
         xs = np.linspace(lo, hi, KDE_POINTS)
         density = gaussian_kde(vals, bw_method="silverman")(xs)
         kde_points = np.column_stack([xs, density])

@@ -17,6 +17,10 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
+# Rows per chunk of the covariance pass.  A constant, so the accumulation
+# order (and the result, bit for bit at a given BLAS thread count) is fixed.
+_COVARIANCE_CHUNK = 2048
+
 
 class ParseError(ValueError):
     """An embedding file violates its declared format."""
@@ -91,6 +95,27 @@ class AlignedPair:
             raise ValueError("left and right vocabularies differ")
         if self.shared_count != len(self.left.vocab) or self.shared_count < 1:
             raise ValueError("shared_count does not match the vocabularies")
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """Joint population (1/n) covariance of ``[left | right]``, built on first use.
+
+        With ``d = left.n_dims``, blocks ``[:d, :d]``, ``[d:, d:]`` and ``[:d, d:]``
+        are the left, right and cross covariances.  Two-pass (Chan, Golub &
+        LeVeque, 1979): column means, then ``Z.T @ Z`` per row chunk of the
+        centred ``Z = [left | right]``, so no N-sized copy is ever made.
+        """
+        x, y = self.left.values, self.right.values
+        mean = np.concatenate([x.mean(axis=0), y.mean(axis=0)])
+        cov = np.zeros((mean.size, mean.size))
+        for start in range(0, self.shared_count, _COVARIANCE_CHUNK):
+            rows = slice(start, start + _COVARIANCE_CHUNK)
+            chunk = np.hstack([x[rows], y[rows]])
+            chunk -= mean
+            cov += chunk.T @ chunk
+        cov /= self.shared_count
+        cov.flags.writeable = False
+        return cov
 
 
 def _decoded_lines(source: str | Path | IO) -> Iterator[str]:

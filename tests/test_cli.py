@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import embcompare
 from embcompare import parse_embedding, write_glove_text
 from embcompare.cli import main
 from helpers import grid_fixture, make_embedding, write_questions
@@ -332,6 +337,29 @@ def test_agreement_length_mismatch_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "agreement", path_a, path_b)
     assert code == 1
     assert "length" in err
+
+
+def test_agreement_swapped_rows_exit_one(tmp_path, capsys):
+    path_a = tmp_path / "a.csv"
+    path_b = tmp_path / "b.csv"
+    _write_answers(path_a, [("X", "ANSWERED"), ("Y", "ANSWERED"), ("Z", "ANSWERED")])
+    header, first, second, third = path_a.read_text().splitlines(keepends=True)
+    path_b.write_text(header + first + third + second)
+    code, _, err = run(capsys, "agreement", path_a, path_b)
+    assert code == 1
+    assert "row 2" in err
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = str(Path(embcompare.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, embcompare.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_report_to_stdout_by_default(synth_files, capsys):

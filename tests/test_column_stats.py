@@ -3,14 +3,19 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from embcompare import align_vocabularies, correlation_matrix, histogram, pearson
-from embcompare.column_stats import (
-    CorrelationMatrix,
-    column_means,
-    column_stds,
-    standardize_columns,
+from embcompare import (
+    AlignedPair,
+    align_vocabularies,
+    cca_fit,
+    correlation_matrix,
+    histogram,
+    pearson,
 )
+from embcompare.column_stats import CorrelationMatrix
+from embcompare.embedding_io import _COVARIANCE_CHUNK
 from embcompare.synthgen import random_embedding
 from helpers import make_embedding
 from oracles import correlation_matrix_naive, pearson_textbook
@@ -76,17 +81,33 @@ def test_pearson_affine_invariance(a):
     assert pearson(a * x + 3.0, y) == pytest.approx(np.sign(a) * base, abs=1e-12)
 
 
-def test_population_normalization_of_stats():
-    values = np.array([[1.0], [2.0], [3.0], [4.0]])
-    assert column_means(values)[0] == 2.5
-    # population (1/n), not sample (1/(n-1))
-    assert column_stds(values)[0] == pytest.approx(np.sqrt(1.25), abs=1e-15)
+@pytest.mark.parametrize(
+    "rows",
+    [2, _COVARIANCE_CHUNK - 1, _COVARIANCE_CHUNK, _COVARIANCE_CHUNK + 1,
+     2 * _COVARIANCE_CHUNK + 3],
+)
+def test_covariance_matches_numpy(rows):
+    rng = np.random.default_rng(rows)
+    left = rng.standard_normal((rows, 3)) + 5.0
+    right = rng.standard_normal((rows, 4)) * 2.0 - 1.0
+    expected = np.cov(np.hstack([left, right]).T, bias=True)
+    assert np.allclose(_pair(left, right).covariance, expected, rtol=0, atol=1e-12)
 
 
-def test_standardize_flags_constant_columns():
-    z, degenerate = standardize_columns(np.array([[1.0, 5.0], [2.0, 5.0]]))
-    assert degenerate == (1,)
-    assert np.array_equal(z[:, 1], [0.0, 0.0])
+def test_kappa_and_cca_share_one_covariance_pass(monkeypatch):
+    calls = []
+    build = AlignedPair.covariance.func
+
+    def counting(pair):
+        calls.append(pair)
+        return build(pair)
+
+    monkeypatch.setattr(AlignedPair.covariance, "func", counting)
+    rng = np.random.default_rng(9)
+    pair = _pair(rng.standard_normal((50, 4)), rng.standard_normal((50, 3)))
+    correlation_matrix(pair)
+    cca_fit(pair)
+    assert len(calls) == 1
 
 
 def test_correlation_matrix_self_has_unit_diagonal():
@@ -135,12 +156,35 @@ def test_correlation_matrix_random_pair_is_weak():
     assert np.abs(kappa.values).max() < 0.15
 
 
-def test_correlation_matrix_worker_count_invariant():
-    rng = np.random.default_rng(4)
-    pair = _pair(rng.standard_normal((200, 70)), rng.standard_normal((200, 70)))
-    single = correlation_matrix(pair, workers=1)
-    pooled = correlation_matrix(pair, workers=4)
-    assert np.array_equal(single.values, pooled.values)
+@st.composite
+def _relabelling(draw):
+    """A column permutation and a sign per column, for 1 to 6 columns."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d))
+    return perm, np.array(signs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=3, max_value=40),
+    left_side=_relabelling(),
+    right_side=_relabelling(),
+)
+def test_kappa_equivariant_under_permutation_and_sign_flip(
+    seed, rows, left_side, right_side
+):
+    (perm_l, sign_l), (perm_r, sign_r) = left_side, right_side
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((rows, len(perm_l)))
+    right = rng.standard_normal((rows, len(perm_r)))
+    base = correlation_matrix(_pair(left, right)).values
+    moved = correlation_matrix(
+        _pair(left[:, perm_l] * sign_l, right[:, perm_r] * sign_r)
+    ).values
+    expected = np.outer(sign_l, sign_r) * base[np.ix_(perm_l, perm_r)]
+    assert np.allclose(moved, expected, rtol=0, atol=1e-12)
 
 
 def test_correlation_matrix_flags_degenerate_columns():
@@ -149,6 +193,19 @@ def test_correlation_matrix_flags_degenerate_columns():
     kappa = correlation_matrix(_pair(left, right))
     assert kappa.degenerate_left == (1,)
     assert kappa.degenerate_right == ()
+    assert np.array_equal(kappa.values[1], [0.0, 0.0])
+
+    # the mean of three 0.1s is not exactly 0.1: a variance test would see
+    # rounding noise here instead of a constant column
+    left = np.array([[1.0, 0.1], [2.0, 0.1], [3.0, 0.1]])
+    kappa = correlation_matrix(_pair(left, right))
+    assert kappa.degenerate_left == (1,)
+    assert np.array_equal(kappa.values[1], [0.0, 0.0])
+
+    # not constant, but the squared deviations underflow to a zero variance
+    left = np.array([[1.0, 1e-200], [2.0, 2e-200], [3.0, 3e-200]])
+    kappa = correlation_matrix(_pair(left, right))
+    assert kappa.degenerate_left == (1,)
     assert np.array_equal(kappa.values[1], [0.0, 0.0])
 
 
