@@ -20,7 +20,7 @@ from .analogy_eval import (
     krippendorff_alpha,
     parse_analogy_file,
 )
-from .cca import CcaResult, NumericalError, cca_fit, project, zeta_cca
+from .cca import CcaResult, NumericalError, cca_fit, project
 from .column_stats import (
     CorrelationMatrix,
     HistogramSummary,
@@ -89,5 +89,4 @@ __all__ = [
     "random_sign_mask",
     "row_normalize",
     "write_glove_text",
-    "zeta_cca",
 ]

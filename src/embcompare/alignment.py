@@ -2,11 +2,16 @@
 
 The score of a matching ``a`` is the mean of the matched correlations
 ``kappa[a_d, d]``; the solver finds the permutation maximizing that mean.
-The maximization is run as a minimization of ``max_entry - w`` through a
-Jonker-Volgenant style shortest-augmenting-path Hungarian core, O(D^3).
+The maximization is run as a minimization of ``max_entry - w`` through
+``scipy.optimize.linear_sum_assignment`` (Crouse 2016), O(D^3).
 
 Tie handling: among equal-weight optima the lexicographically smallest
-assignment is returned, so reports are reproducible across platforms.
+assignment is returned, so reports are reproducible across platforms and
+do not depend on which optimum the solver lands on.  The tie pass needs
+dual potentials, which scipy does not return; they are recovered from its
+optimal assignment as shortest-path distances over the columns
+(Bellman-Ford), and every optimum is then a perfect matching on the edges
+those potentials make tight.
 """
 from __future__ import annotations
 
@@ -19,6 +24,7 @@ from typing import IO
 import numpy as np
 
 from .column_stats import CorrelationMatrix
+from .embedding_io import opened
 
 
 @dataclass(frozen=True)
@@ -75,109 +81,115 @@ class Matching:
 
     def write_matched_csv(self, dest: str | Path | IO) -> None:
         """Matched correlations sorted descending, one per row."""
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", newline="", encoding="utf-8") as fh:
-                self.write_matched_csv(fh)
-            return
-        w = csv.writer(dest)
-        w.writerow(["rank", "correlation"])
-        for rank, v in enumerate(self.sorted_matched(), start=1):
-            w.writerow([rank, repr(float(v))])
+        with opened(dest, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["rank", "correlation"])
+            for rank, v in enumerate(self.sorted_matched(), start=1):
+                w.writerow([rank, repr(float(v))])
 
 
-def _min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the square min-cost assignment problem.
+def _tight_edges(cost: np.ndarray, col_to_row: np.ndarray) -> np.ndarray:
+    """Edges of zero reduced cost under dual potentials certifying the
+    optimal assignment ``col_to_row`` (``s`` below).
 
-    Returns ``(col_to_row, u, v)`` where ``col_to_row[j]`` is the row
-    assigned to column ``j`` and ``u``, ``v`` are feasible dual potentials
-    (rows / columns) with zero reduced cost on matched edges.
+    The column potential ``v[j]`` is the shortest distance to column ``j``
+    from a virtual source joined to every column by a 0-weight arc, over
+    arcs ``j' -> j`` of weight ``cost[s(j'), j] - cost[s(j'), j']``; the row
+    potentials follow as ``u[s(j)] = cost[s(j), j] - v[j]``.  An optimal
+    ``s`` leaves no negative cycle, so Bellman-Ford settles within D rounds;
+    each round relaxes only from the columns whose distance just dropped.
+    The tightness test uses a small relative tolerance to absorb float dust.
     """
     n = cost.shape[0]
-    u = np.zeros(n, dtype=np.float64)
-    v = np.zeros(n + 1, dtype=np.float64)  # index n is the virtual start column
-    col_to_row = np.full(n + 1, -1, dtype=np.intp)
-
-    for i in range(n):
-        col_to_row[n] = i
-        j0 = n
-        min_to = np.full(n, np.inf)
-        prev_col = np.full(n, n, dtype=np.intp)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = col_to_row[j0]
-            reduced = cost[i0, :] - u[i0] - v[:n]
-            free = ~used[:n]
-            improve = free & (reduced < min_to)
-            min_to[improve] = reduced[improve]
-            prev_col[improve] = j0
-            candidates = np.where(free)[0]
-            j1 = candidates[np.argmin(min_to[candidates])]
-            delta = min_to[j1]
-            tree = np.where(used)[0]
-            u[col_to_row[tree]] += delta
-            v[tree] -= delta
-            min_to[free] -= delta
-            j0 = j1
-            if col_to_row[j0] < 0:
-                break
-        # walk the alternating path back to the virtual column
-        while j0 != n:
-            j1 = prev_col[j0]
-            col_to_row[j0] = col_to_row[j1]
-            j0 = j1
-    return col_to_row[:n].copy(), u, v[:n]
+    arcs = cost[col_to_row]
+    arcs -= np.diag(arcs)[:, None]
+    v = np.zeros(n)
+    changed = np.arange(n)
+    for _ in range(n):
+        best = (v[changed, None] + arcs[changed]).min(axis=0)
+        changed = np.flatnonzero(best < v)
+        if changed.size == 0:
+            break
+        v[changed] = best[changed]
+    # reduced cost of edge (s(j'), j) is arcs[j', j] + v[j'] - v[j]
+    tight = np.empty((n, n), dtype=bool)
+    tight[col_to_row] = arcs + v[:, None] - v <= 1e-9 * max(1.0, np.abs(cost).max())
+    return tight
 
 
-def _kuhn_augment(
+def _augment(
     col: int,
     tight_rows: list[np.ndarray],
     col_of_row: np.ndarray,
     row_of_col: np.ndarray,
-    fixed_rows: np.ndarray,
-    seen: np.ndarray,
+    blocked: np.ndarray,
 ) -> bool:
-    """Find an alternating path re-matching ``col``; rewires in place."""
-    for r in tight_rows[col]:
-        if fixed_rows[r] or seen[r]:
+    """Find an alternating path re-matching ``col``; rewires in place.
+
+    Depth-first over an explicit stack, so the path length is not bounded
+    by the recursion limit.  Rows in ``blocked`` are never taken, and every
+    row the search visits is added to it.
+    """
+    cols = [col]
+    taken: list[int] = []  # taken[k] is the row cols[k] moves to
+    stack = [iter(tight_rows[col])]
+    while stack:
+        r = next((r for r in stack[-1] if not blocked[r]), None)
+        if r is None:
+            stack.pop()
+            cols.pop()
+            if taken:
+                taken.pop()
             continue
-        seen[r] = True
-        if col_of_row[r] < 0 or _kuhn_augment(
-            col_of_row[r], tight_rows, col_of_row, row_of_col, fixed_rows, seen
-        ):
-            col_of_row[r] = col
-            row_of_col[col] = r
+        blocked[r] = True
+        taken.append(r)
+        if col_of_row[r] < 0:
+            col_of_row[taken] = cols
+            row_of_col[cols] = taken
             return True
+        cols.append(col_of_row[r])
+        stack.append(iter(tight_rows[cols[-1]]))
     return False
 
 
+def _components(tight: np.ndarray, row_of_col: np.ndarray, n_fixed: int) -> np.ndarray:
+    """Strong-component labels of the graph with an arc ``c -> c'`` wherever
+    column ``c`` can take column ``c'``'s row over a tight edge.
+
+    Columns below ``n_fixed`` keep their rows, so no arc enters them.  A
+    tight edge lies on some optimal assignment exactly when it joins two
+    columns of one component.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    graph = tight[row_of_col].T
+    graph[:, :n_fixed] = False
+    return connected_components(csr_array(graph), connection="strong")[1]
+
+
 def _lexicographically_smallest(
-    weights: np.ndarray,
-    col_to_row: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    cost: np.ndarray,
+    weights: np.ndarray, col_to_row: np.ndarray, tight: np.ndarray
 ) -> np.ndarray:
     """Among assignments of equal total weight, prefer the lexicographically
     smallest one.
 
-    Any perfect matching restricted to zero-reduced-cost edges is optimal
-    (complementary slackness), so we greedily rebuild the matching column by
-    column over the tight-edge graph, always trying the smallest row first.
-    The tightness test uses a small relative tolerance to absorb float dust;
-    if that lets a near-tie slip through, the exact total-weight comparison
-    at the end rejects the refined matching.
+    Any perfect matching on tight edges is optimal (complementary
+    slackness), so we greedily rebuild the matching column by column,
+    always taking the smallest row whose column shares the current
+    column's strong component.  Fixing a column can split its component;
+    a failed re-match recomputes the stale labels.  If the tolerance let a
+    near-tie through, the exact total-weight comparison at the end rejects
+    the refined matching.
     """
-    n = cost.shape[0]
-    scale = max(1.0, float(np.abs(cost).max()))
-    reduced = cost - u[:, None] - v[None, :]
-    tight = reduced <= 1e-9 * scale
-    if not (tight.sum(axis=0) > 1).any():
+    n = tight.shape[0]
+    labels = _components(tight, col_to_row, 0)
+    if np.bincount(labels).max() == 1:
         return col_to_row
 
-    tight_rows = [np.where(tight[:, j])[0] for j in range(n)]
+    tight_rows = [np.flatnonzero(tight[:, j]) for j in range(n)]
     row_of_col = col_to_row.copy()
-    col_of_row = np.full(n, -1, dtype=np.intp)
+    col_of_row = np.empty(n, dtype=np.intp)
     col_of_row[row_of_col] = np.arange(n)
     fixed_rows = np.zeros(n, dtype=bool)
 
@@ -185,30 +197,29 @@ def _lexicographically_smallest(
         for r in tight_rows[d]:
             if r >= row_of_col[d]:
                 break
-            if fixed_rows[r]:
-                continue
             displaced = col_of_row[r]
+            if fixed_rows[r] or labels[displaced] != labels[d]:
+                continue
+            blocked = fixed_rows | (labels[col_of_row] != labels[d])
+            blocked[r] = True
             freed = row_of_col[d]
             # tentatively give row r to column d and re-match the column
             # that loses it (the freed row is the only available one)
             col_of_row[freed] = -1
             col_of_row[r] = d
             row_of_col[d] = r
-            seen = np.zeros(n, dtype=bool)
-            seen[r] = True
-            if _kuhn_augment(
-                displaced, tight_rows, col_of_row, row_of_col, fixed_rows, seen
-            ):
+            if _augment(displaced, tight_rows, col_of_row, row_of_col, blocked):
                 break
             # revert
             col_of_row[r] = displaced
             col_of_row[freed] = d
             row_of_col[d] = freed
+            labels = _components(tight, row_of_col, d)
         fixed_rows[row_of_col[d]] = True
 
     cols = np.arange(n)
     if (
-        weights[row_of_col, cols].sum() == weights[col_to_row, cols].sum()
+        weights[row_of_col, cols].sum() >= weights[col_to_row, cols].sum()
         and row_of_col.tolist() <= col_to_row.tolist()
     ):
         return row_of_col
@@ -230,9 +241,12 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
     if not np.isfinite(w).all():
         raise ValueError("weight matrix contains non-finite entries")
 
+    from scipy.optimize import linear_sum_assignment  # slow import: load on use
+
     cost = w.max() - w
-    col_to_row, u, v = _min_cost_assignment(cost)
-    assignment = _lexicographically_smallest(w, col_to_row, u, v, cost)
+    col_to_row = np.argsort(linear_sum_assignment(cost)[1])  # rows come sorted
+    tight = _tight_edges(cost, col_to_row)
+    assignment = _lexicographically_smallest(w, col_to_row, tight)
     total = float(w[assignment, np.arange(w.shape[0])].sum())
     return assignment, total
 

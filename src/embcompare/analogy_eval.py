@@ -22,7 +22,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .embedding_io import EmbeddingMatrix, row_normalize
+from .embedding_io import EmbeddingMatrix, opened, row_normalize
 
 SKIPPED = "SKIPPED"
 ANSWERED = "ANSWERED"
@@ -132,34 +132,31 @@ def parse_analogy_file(
     Lines with any other token count are errors, as is a question appearing
     before the first category header.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse_analogy_file(fh, lowercase=lowercase)
-
     questions: list[AnalogyQuestion] = []
     category: str | None = None
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == ":":
-            if len(parts) != 2:
+    with opened(source, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == ":":
+                if len(parts) != 2:
+                    raise AnalogyParseError(
+                        f"line {lineno}: malformed category header {line.strip()!r}"
+                    )
+                category = parts[1]
+                continue
+            if len(parts) != 4:
                 raise AnalogyParseError(
-                    f"line {lineno}: malformed category header {line.strip()!r}"
+                    f"line {lineno}: expected 4 words, got {len(parts)}"
                 )
-            category = parts[1]
-            continue
-        if len(parts) != 4:
-            raise AnalogyParseError(
-                f"line {lineno}: expected 4 words, got {len(parts)}"
-            )
-        if category is None:
-            raise AnalogyParseError(
-                f"line {lineno}: question appears before any ': category' header"
-            )
-        a, b, c, d = (p.lower() for p in parts) if lowercase else parts
-        questions.append(AnalogyQuestion(a=a, b=b, c=c, d=d, category=category))
+            if category is None:
+                raise AnalogyParseError(
+                    f"line {lineno}: question appears before any ': category' header"
+                )
+            a, b, c, d = (p.lower() for p in parts) if lowercase else parts
+            questions.append(AnalogyQuestion(a=a, b=b, c=c, d=d, category=category))
     return questions
 
 
@@ -428,28 +425,23 @@ def write_answers_csv(
     dest: str | Path | IO,
 ) -> None:
     """One row per question: question_index, a, b, c, d, predicted, status."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="", encoding="utf-8") as fh:
-            write_answers_csv(questions, answers, fh)
-        return
-    w = csv.writer(dest)
-    w.writerow(["question_index", "a", "b", "c", "d", "predicted", "status"])
-    for q, r in zip(questions, answers):
-        w.writerow(
-            [r.question_index, q.a, q.b, q.c, q.d, r.predicted or "", r.status]
-        )
+    with opened(dest, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["question_index", "a", "b", "c", "d", "predicted", "status"])
+        for q, r in zip(questions, answers):
+            w.writerow(
+                [r.question_index, q.a, q.b, q.c, q.d, r.predicted or "", r.status]
+            )
 
 
 def read_answers_csv(source: str | Path | IO) -> list[dict]:
     """Rows of an answers CSV as dicts, with basic schema validation."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", newline="", encoding="utf-8") as fh:
-            return read_answers_csv(fh)
-    reader = csv.DictReader(source)
-    required = {"question_index", "a", "b", "c", "d", "predicted", "status"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise ValueError(
-            f"answers CSV must have columns {sorted(required)}, "
-            f"got {reader.fieldnames}"
-        )
-    return list(reader)
+    with opened(source, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        required = {"question_index", "a", "b", "c", "d", "predicted", "status"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ValueError(
+                f"answers CSV must have columns {sorted(required)}, "
+                f"got {reader.fieldnames}"
+            )
+        return list(reader)

@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .embedding_io import AlignedPair, EmbeddingMatrix, write_glove_text
+from .embedding_io import AlignedPair, EmbeddingMatrix, opened, write_glove_text
 
 # Auto ridge: this factor times the mean eigenvalue of each side's
 # auto-covariance.  |V| >> D keeps covariances well-posed, but near-duplicate
@@ -95,14 +95,11 @@ class CcaResult:
 
     def write_correlations_csv(self, dest: str | Path | IO) -> None:
         """Canonical correlations in descending order, one per row."""
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", newline="", encoding="utf-8") as fh:
-                self.write_correlations_csv(fh)
-            return
-        w = csv.writer(dest)
-        w.writerow(["rank", "correlation"])
-        for rank, v in enumerate(self.correlations, start=1):
-            w.writerow([rank, repr(float(v))])
+        with opened(dest, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["rank", "correlation"])
+            for rank, v in enumerate(self.correlations, start=1):
+                w.writerow([rank, repr(float(v))])
 
 
 def _whitener(
@@ -216,11 +213,6 @@ def write_directions(
         write_glove_text(
             EmbeddingMatrix(vocab=labels, values=directions, name="directions"), dest
         )
-
-
-def zeta_cca(result: CcaResult) -> float:
-    """Mean of all canonical correlations."""
-    return float(result.correlations.mean())
 
 
 def project(result: CcaResult, pair: AlignedPair) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .embedding_io import AlignedPair
+from .embedding_io import AlignedPair, opened
 
 DEFAULT_BINS = 60
 KDE_POINTS = 256
@@ -78,34 +78,29 @@ class HistogramSummary:
 
     def write_csv(self, dest: str | Path | IO) -> None:
         """Write rows of (bin_lo, bin_hi, count)."""
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", newline="", encoding="utf-8") as fh:
-                self.write_csv(fh)
-            return
-        w = csv.writer(dest)
-        w.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-            w.writerow([repr(float(lo)), repr(float(hi)), int(c)])
+        with opened(dest, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["bin_lo", "bin_hi", "count"])
+            for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
+                w.writerow([repr(float(lo)), repr(float(hi)), int(c)])
 
     def write_kde_csv(self, dest: str | Path | IO) -> None:
         if self.kde_points is None:
             raise ValueError("histogram was computed without a KDE")
-        if isinstance(dest, (str, Path)):
-            with open(dest, "w", newline="", encoding="utf-8") as fh:
-                self.write_kde_csv(fh)
-            return
-        w = csv.writer(dest)
-        w.writerow(["x", "density"])
-        for x, y in self.kde_points:
-            w.writerow([repr(float(x)), repr(float(y))])
+        with opened(dest, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x", "density"])
+            for x, y in self.kde_points:
+                w.writerow([repr(float(x)), repr(float(y))])
 
 
 def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
     """Pearson correlation of two equal-length vectors, clamped to [-1, 1].
 
-    Returns 0.0 when either input has zero variance (a constant column
-    carries no information; callers that need the flag use
-    :func:`correlation_matrix`).
+    Returns 0.0 when either input is constant (max == min, the test
+    :func:`correlation_matrix` flags columns by) or its variance underflows
+    to 0: a constant column carries no information, and its inexact mean
+    would otherwise leave rounding noise.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -118,7 +113,7 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
     dy = y - y.mean()
     sx = np.sqrt(np.dot(dx, dx) / n)
     sy = np.sqrt(np.dot(dy, dy) / n)
-    if sx == 0.0 or sy == 0.0:
+    if sx == 0.0 or sy == 0.0 or x.max() == x.min() or y.max() == y.min():
         return 0.0
     r = (np.dot(dx, dy) / n) / (sx * sy)
     return float(min(1.0, max(-1.0, r)))

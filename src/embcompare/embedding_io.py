@@ -10,10 +10,11 @@ Values are always parsed as 64-bit floats; words are compared byte-exact
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -24,6 +25,19 @@ _COVARIANCE_CHUNK = 2048
 
 class ParseError(ValueError):
     """An embedding file violates its declared format."""
+
+
+@contextmanager
+def opened(target: str | Path | IO, mode: str, **kwargs) -> Iterator[IO]:
+    """``open(target, mode, **kwargs)`` for a path; an open handle as is.
+
+    A path is closed on exit; a handle passed in is left open for its owner.
+    """
+    if isinstance(target, (str, Path)):
+        with open(target, mode, **kwargs) as fh:
+            yield fh
+    else:
+        yield target
 
 
 @dataclass(frozen=True)
@@ -119,19 +133,15 @@ class AlignedPair:
 
 
 def _decoded_lines(source: str | Path | IO) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            yield from _decoded_lines(fh)
-        return
-    raw: Iterable = source
-    for line in raw:
-        if isinstance(line, bytes):
-            try:
-                yield line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"input is not valid UTF-8: {exc}") from None
-        else:
-            yield line
+    with opened(source, "rb") as raw:
+        for line in raw:
+            if isinstance(line, bytes):
+                try:
+                    yield line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"input is not valid UTF-8: {exc}") from None
+            else:
+                yield line
 
 
 def _parse_row(parts: list[str], n_dims: int, lineno: int) -> tuple[str, np.ndarray]:
@@ -240,16 +250,12 @@ def parse_embedding(
 
 def write_glove_text(e: EmbeddingMatrix, dest: str | Path | IO) -> None:
     """Serialize in glove_text format with 6 significant digits."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_glove_text(e, fh)
-        return
-    out: IO = dest
-    for word, row in zip(e.vocab, e.values):
-        out.write(word)
-        for v in row:
-            out.write(f" {v:.6g}")
-        out.write("\n")
+    with opened(dest, "w", encoding="utf-8") as out:
+        for word, row in zip(e.vocab, e.values):
+            out.write(word)
+            for v in row:
+                out.write(f" {v:.6g}")
+            out.write("\n")
 
 
 def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:

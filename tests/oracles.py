@@ -55,6 +55,40 @@ def brute_force_assignment(weights: np.ndarray) -> tuple[tuple[int, ...], float]
     return min(best_perms), float(best_total)
 
 
+def lexicographic_assignment_by_fixing(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lexicographically smallest maximum-weight assignment, column by column.
+
+    Fixes column 0, 1, ... to the smallest row that still admits the
+    optimal total, re-solving the whole problem with scipy for every
+    candidate.  Shares no tie-handling code with the library; exact only
+    for integer weights, whose totals have no rounding.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    w = np.asarray(weights, dtype=np.float64)
+    n = w.shape[0]
+    forbid = 2 * n * (np.abs(w).max() + 1)  # worse than any unforced assignment
+
+    def best_with(fixed: dict[int, int]) -> float:
+        cost = -w.copy()
+        for col, row in fixed.items():
+            cost[row, :] = forbid
+            cost[:, col] = forbid
+            cost[row, col] = -w[row, col]
+        rows, cols = linear_sum_assignment(cost)
+        return float(-cost[rows, cols].sum())
+
+    optimum = best_with({})
+    fixed: dict[int, int] = {}
+    for col in range(n):
+        used = set(fixed.values())
+        fixed[col] = next(
+            row for row in range(n)
+            if row not in used and best_with({**fixed, col: row}) == optimum
+        )
+    return np.array([fixed[c] for c in range(n)]), optimum
+
+
 def reference_cca_correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Canonical correlations via QR of the centered data matrices.
 

@@ -17,7 +17,8 @@ from embcompare.synthgen import (
     random_permutation,
     random_sign_mask,
 )
-from oracles import brute_force_assignment
+from helpers import make_embedding
+from oracles import brute_force_assignment, lexicographic_assignment_by_fixing
 
 
 def test_identity_dominant_weights():
@@ -60,6 +61,67 @@ def test_lexicographic_tie_breaking(seed):
         perm, best = brute_force_assignment(w)
         assert total == best
         assert tuple(assignment.tolist()) == perm
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lexicographic_ties_beyond_brute_force_sizes(seed):
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(10):
+        n = int(rng.integers(8, 30))
+        w = rng.integers(0, int(rng.integers(2, 5)), size=(n, n)).astype(float)
+        w[:, rng.choice(n, n // 4, replace=False)] = 0.0  # tied zero block
+        w[rng.choice(n, n // 4, replace=False), :] = 0.0
+        assignment, total = max_weight_assignment(w)
+        expected, best = lexicographic_assignment_by_fixing(w)
+        assert total == best
+        assert assignment.tolist() == expected.tolist()
+
+
+def test_long_tied_cycle():
+    # two optimal matchings that differ on one alternating cycle through
+    # every row: column j takes original row j or row j + 1 (mod n)
+    n = 1500
+    w = np.zeros((n, n))
+    cols = np.arange(n)
+    w[cols, cols] = 1.0
+    w[(cols + 1) % n, cols] = 1.0
+    perm = np.random.default_rng(0).permutation(n)
+    w = w[perm]  # row i of w is original row perm[i]
+    position = np.argsort(perm)  # where each original row ended up
+    first, second = position[cols], position[(cols + 1) % n]
+    expected = first if first.tolist() < second.tolist() else second
+    assignment, total = max_weight_assignment(w)
+    assert total == n
+    assert assignment.tolist() == expected.tolist()
+
+
+def test_degenerate_columns_fill_in_ascending_order():
+    # 50 live dimensions under a planted permutation, plus 10 constant
+    # columns on each side at different positions; kappa zeroes the
+    # constant rows and columns, so their block is one big tie
+    rng = np.random.default_rng(21)
+    n_live, n_dead, rows = 50, 10, 2000
+    live = random_embedding(rows, n_live, seed=21).values
+    plant = rng.permutation(n_live)
+    dims = n_live + n_dead
+    left_dead = np.sort(rng.choice(dims, n_dead, replace=False))
+    right_dead = np.sort(rng.choice(dims, n_dead, replace=False))
+    left_live = np.setdiff1d(np.arange(dims), left_dead)
+    right_live = np.setdiff1d(np.arange(dims), right_dead)
+    left = np.full((rows, dims), 0.25)
+    right = np.full((rows, dims), -3.0)
+    left[:, left_live] = live
+    right[:, right_live] = live[:, plant]
+    vocab = [f"w{i}" for i in range(rows)]
+    kappa = correlation_matrix(
+        align_vocabularies(make_embedding(left, vocab), make_embedding(right, vocab))
+    )
+    assert kappa.degenerate_left == tuple(left_dead)
+    assert kappa.degenerate_right == tuple(right_dead)
+
+    assignment = one_to_one_score(kappa).assignment
+    assert assignment[right_live].tolist() == left_live[plant].tolist()
+    assert assignment[right_dead].tolist() == left_dead.tolist()
 
 
 def test_all_equal_weights_pick_identity():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from embcompare import align_vocabularies, cca_fit, correlation_matrix, project, zeta_cca
+from embcompare import align_vocabularies, cca_fit, correlation_matrix, project
 from embcompare.alignment import one_to_one_score
 from embcompare.cca import CcaResult, NumericalError
 from embcompare.synthgen import (
@@ -100,23 +100,6 @@ def test_cca_relaxes_one_to_one(sigma):
     assert result.zeta_cca >= zeta_one - 1e-6
 
 
-def test_zeta_cca_trivial_values():
-    def result_with(corrs):
-        corrs = np.asarray(corrs, dtype=float)
-        k = corrs.size
-        return CcaResult(
-            left_directions=np.eye(k),
-            right_directions=np.eye(k),
-            correlations=corrs,
-            zeta_cca=float(corrs.mean()),
-            regularization_left=0.0,
-            regularization_right=0.0,
-        )
-
-    assert zeta_cca(result_with([1.0, 1.0, 1.0])) == 1.0
-    assert zeta_cca(result_with([1.0, 0.5, 0.0])) == 0.5
-
-
 def test_result_validation():
     with pytest.raises(ValueError, match="descending"):
         CcaResult(
@@ -133,6 +116,15 @@ def test_result_validation():
             right_directions=np.eye(1),
             correlations=np.array([1.5]),
             zeta_cca=1.5,
+            regularization_left=0.0,
+            regularization_right=0.0,
+        )
+    with pytest.raises(ValueError, match="not the mean"):
+        CcaResult(
+            left_directions=np.eye(2),
+            right_directions=np.eye(2),
+            correlations=np.array([1.0, 0.5]),
+            zeta_cca=0.75 + 1e-9,
             regularization_left=0.0,
             regularization_right=0.0,
         )

@@ -11,7 +11,21 @@ from embcompare import (
     row_normalize,
     write_glove_text,
 )
+from embcompare.embedding_io import opened
 from helpers import make_embedding
+
+
+def test_opened_closes_paths_and_leaves_handles_open(tmp_path):
+    buf = io.StringIO()
+    with opened(buf, "w") as fh:
+        assert fh is buf
+    assert not buf.closed
+
+    path = tmp_path / "out.txt"
+    with opened(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("a\r\n")
+    assert fh.closed
+    assert path.read_bytes() == b"a\r\n"  # newline="" reached open()
 
 
 def test_parse_glove_identity():
