@@ -15,7 +15,6 @@ those potentials make tight.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import IO
 import numpy as np
 
 from .column_stats import CorrelationMatrix
-from .embedding_io import opened
+from .embedding_io import write_csv_rows
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,8 @@ class Matching:
 
     def write_matched_csv(self, dest: str | Path | IO) -> None:
         """Matched correlations sorted descending, one per row."""
-        with opened(dest, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rank", "correlation"])
-            for rank, v in enumerate(self.sorted_matched(), start=1):
-                w.writerow([rank, repr(float(v))])
+        rows = ([r, repr(float(v))] for r, v in enumerate(self.sorted_matched(), 1))
+        write_csv_rows(dest, ["rank", "correlation"], rows)
 
 
 def _tight_edges(cost: np.ndarray, col_to_row: np.ndarray) -> np.ndarray:

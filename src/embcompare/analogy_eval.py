@@ -22,7 +22,8 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .embedding_io import EmbeddingMatrix, opened, row_normalize
+from .embedding_io import EmbeddingMatrix, opened, row_normalize, split_lines
+from .embedding_io import write_csv_rows
 
 SKIPPED = "SKIPPED"
 ANSWERED = "ANSWERED"
@@ -134,29 +135,24 @@ def parse_analogy_file(
     """
     questions: list[AnalogyQuestion] = []
     category: str | None = None
-    with opened(source, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == ":":
-                if len(parts) != 2:
-                    raise AnalogyParseError(
-                        f"line {lineno}: malformed category header {line.strip()!r}"
-                    )
-                category = parts[1]
-                continue
-            if len(parts) != 4:
+    for lineno, parts in split_lines(source, error=AnalogyParseError):
+        if parts[0] == ":":
+            if len(parts) != 2:
                 raise AnalogyParseError(
-                    f"line {lineno}: expected 4 words, got {len(parts)}"
+                    f"line {lineno}: malformed category header {' '.join(parts)!r}"
                 )
-            if category is None:
-                raise AnalogyParseError(
-                    f"line {lineno}: question appears before any ': category' header"
-                )
-            a, b, c, d = (p.lower() for p in parts) if lowercase else parts
-            questions.append(AnalogyQuestion(a=a, b=b, c=c, d=d, category=category))
+            category = parts[1]
+            continue
+        if len(parts) != 4:
+            raise AnalogyParseError(
+                f"line {lineno}: expected 4 words, got {len(parts)}"
+            )
+        if category is None:
+            raise AnalogyParseError(
+                f"line {lineno}: question appears before any ': category' header"
+            )
+        a, b, c, d = (p.lower() for p in parts) if lowercase else parts
+        questions.append(AnalogyQuestion(a=a, b=b, c=c, d=d, category=category))
     return questions
 
 
@@ -425,13 +421,12 @@ def write_answers_csv(
     dest: str | Path | IO,
 ) -> None:
     """One row per question: question_index, a, b, c, d, predicted, status."""
-    with opened(dest, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["question_index", "a", "b", "c", "d", "predicted", "status"])
-        for q, r in zip(questions, answers):
-            w.writerow(
-                [r.question_index, q.a, q.b, q.c, q.d, r.predicted or "", r.status]
-            )
+    header = ["question_index", "a", "b", "c", "d", "predicted", "status"]
+    rows = (
+        [r.question_index, q.a, q.b, q.c, q.d, r.predicted or "", r.status]
+        for q, r in zip(questions, answers)
+    )
+    write_csv_rows(dest, header, rows)
 
 
 def read_answers_csv(source: str | Path | IO) -> list[dict]:

@@ -12,7 +12,6 @@ and a fit at regularization 0 fails as numerically singular.
 """
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from .embedding_io import AlignedPair, EmbeddingMatrix, opened, write_glove_text
+from .embedding_io import AlignedPair, EmbeddingMatrix, write_csv_rows, write_glove_text
 
 # Auto ridge: this factor times the mean eigenvalue of each side's
 # auto-covariance.  |V| >> D keeps covariances well-posed, but near-duplicate
@@ -95,11 +94,8 @@ class CcaResult:
 
     def write_correlations_csv(self, dest: str | Path | IO) -> None:
         """Canonical correlations in descending order, one per row."""
-        with opened(dest, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rank", "correlation"])
-            for rank, v in enumerate(self.correlations, start=1):
-                w.writerow([rank, repr(float(v))])
+        rows = ([r, repr(float(v))] for r, v in enumerate(self.correlations, 1))
+        write_csv_rows(dest, ["rank", "correlation"], rows)
 
 
 def _whitener(

@@ -14,14 +14,13 @@ NaN or rounding noise.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
-from .embedding_io import AlignedPair, opened
+from .embedding_io import AlignedPair, write_csv_rows
 
 DEFAULT_BINS = 60
 KDE_POINTS = 256
@@ -78,20 +77,15 @@ class HistogramSummary:
 
     def write_csv(self, dest: str | Path | IO) -> None:
         """Write rows of (bin_lo, bin_hi, count)."""
-        with opened(dest, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin_lo", "bin_hi", "count"])
-            for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-                w.writerow([repr(float(lo)), repr(float(hi)), int(c)])
+        bins = zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts)
+        rows = ([repr(float(lo)), repr(float(hi)), int(c)] for lo, hi, c in bins)
+        write_csv_rows(dest, ["bin_lo", "bin_hi", "count"], rows)
 
     def write_kde_csv(self, dest: str | Path | IO) -> None:
         if self.kde_points is None:
             raise ValueError("histogram was computed without a KDE")
-        with opened(dest, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "density"])
-            for x, y in self.kde_points:
-                w.writerow([repr(float(x)), repr(float(y))])
+        rows = ([repr(float(x)), repr(float(y))] for x, y in self.kde_points)
+        write_csv_rows(dest, ["x", "density"], rows)
 
 
 def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:

@@ -5,16 +5,20 @@ Two on-disk formats are supported:
 * ``glove_text``    -- one record per line: ``<word> <v1> ... <vD>``
 * ``word2vec_text`` -- same records preceded by a ``<count> <dim>`` header
 
-Values are always parsed as 64-bit floats; words are compared byte-exact
-(no case folding, no Unicode normalization).
+Files are UTF-8.  Values are parsed as 64-bit floats with Python's
+``float()`` grammar (so ``1_000`` is accepted).  The header's row count is
+checked against the rows read, never trusted.  Words are compared
+byte-exact (no case folding, no Unicode normalization).
 """
 from __future__ import annotations
 
+import csv
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +42,14 @@ def opened(target: str | Path | IO, mode: str, **kwargs) -> Iterator[IO]:
             yield fh
     else:
         yield target
+
+
+def write_csv_rows(dest: str | Path | IO, header: Sequence, rows: Iterable) -> None:
+    """Write ``header`` then ``rows`` as UTF-8 CSV (``\\r\\n`` line ends)."""
+    with opened(dest, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -132,32 +144,24 @@ class AlignedPair:
         return cov
 
 
-def _decoded_lines(source: str | Path | IO) -> Iterator[str]:
-    with opened(source, "rb") as raw:
-        for line in raw:
+def split_lines(
+    source: str | Path | IO, error: type[ValueError] = ParseError
+) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, whitespace-split tokens)`` for every non-blank line.
+
+    Paths are read as bytes and decoded line by line, so invalid UTF-8 is
+    reported as ``error`` naming its line; open handles may yield bytes or str.
+    """
+    with opened(source, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
             if isinstance(line, bytes):
                 try:
-                    yield line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ParseError(f"input is not valid UTF-8: {exc}") from None
-            else:
-                yield line
-
-
-def _parse_row(parts: list[str], n_dims: int, lineno: int) -> tuple[str, np.ndarray]:
-    word = parts[0]
-    if len(parts) - 1 != n_dims:
-        raise ParseError(
-            f"line {lineno}: expected {n_dims} values for {word!r}, "
-            f"got {len(parts) - 1}"
-        )
-    try:
-        row = np.fromiter(map(float, parts[1:]), dtype=np.float64, count=n_dims)
-    except ValueError:
-        raise ParseError(f"line {lineno}: non-numeric value in row {word!r}") from None
-    if not np.isfinite(row).all():
-        raise ParseError(f"line {lineno}: non-finite value in row {word!r}")
-    return word, row
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise error(f"line {lineno}: input is not valid UTF-8") from None
+            parts = line.split()
+            if parts:
+                yield lineno, parts
 
 
 def _looks_like_header(parts: list[str]) -> bool:
@@ -187,19 +191,12 @@ def parse_embedding(
     if name is None:
         name = Path(source).stem if isinstance(source, (str, Path)) else "embedding"
 
-    lines = _decoded_lines(source)
-    first: tuple[int, list[str]] | None = None
-    header: tuple[int, int] | None = None
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        first = (lineno, parts)
-        break
+    lines = split_lines(source)
+    first = next(lines, None)
     if first is None:
         raise ParseError("empty embedding file")
-
     lineno, parts = first
+    header: tuple[int, int] | None = None
     if format_hint == "word2vec_text" or (
         format_hint == "auto" and _looks_like_header(parts)
     ):
@@ -208,54 +205,60 @@ def parse_embedding(
                 f"line {lineno}: expected '<count> <dim>' header, got {parts!r}"
             )
         header = (int(parts[0]), int(parts[1]))
-        first = None
+        n_dims = header[1]
+    else:
+        n_dims = len(parts) - 1
+        if n_dims < 1:
+            raise ParseError(f"line {lineno}: row has a word but no values")
+        lines = chain([first], lines)
 
-    vocab: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: dict[str, int] = {}
-    n_dims = header[1] if header is not None else None
-
-    def consume(parts: list[str], lineno: int) -> None:
-        nonlocal n_dims
-        if n_dims is None:
-            n_dims = len(parts) - 1
-            if n_dims < 1:
-                raise ParseError(f"line {lineno}: row has a word but no values")
-        word, row = _parse_row(parts, n_dims, lineno)
+    # Rows go straight into one buffer that doubles when full.  It starts
+    # empty and the header never sizes it (the header is outside input):
+    # only a row that passed the width check can grow it.
+    values = np.empty(0)
+    seen: dict[str, int] = {}  # word -> line; insertion order is the vocab
+    for n, (lineno, parts) in enumerate(lines):
+        word = parts[0]
+        if len(parts) - 1 != n_dims:  # before the assignment, which broadcasts
+            raise ParseError(
+                f"line {lineno}: expected {n_dims} values for {word!r}, "
+                f"got {len(parts) - 1}"
+            )
+        if n == len(values):
+            # no view of the buffer outlives a statement, so realloc is safe
+            values.resize((max(2 * n, 1), n_dims), refcheck=False)
+        try:
+            values[n] = parts[1:]  # Python's float() grammar
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: non-numeric value in row {word!r}"
+            ) from None
+        if not np.isfinite(values[n]).all():
+            raise ParseError(f"line {lineno}: non-finite value in row {word!r}")
         if word in seen:
             raise ParseError(
                 f"line {lineno}: duplicate word {word!r} "
                 f"(first seen on line {seen[word]})"
             )
         seen[word] = lineno
-        vocab.append(word)
-        rows.append(row)
 
-    if first is not None:
-        consume(first[1], first[0])
-    for lineno, line in enumerate(lines, start=lineno + 1):
-        parts = line.split()
-        if not parts:
-            continue
-        consume(parts, lineno)
-
-    if not rows:
+    if not seen:
         raise ParseError("embedding file has a header but no rows")
-    if header is not None and header[0] != len(rows):
+    if header is not None and header[0] != len(seen):
         raise ParseError(
-            f"header declares {header[0]} rows but file contains {len(rows)}"
+            f"header declares {header[0]} rows but file contains {len(seen)}"
         )
-    return EmbeddingMatrix(vocab=tuple(vocab), values=np.vstack(rows), name=name)
+    values.resize((len(seen), n_dims), refcheck=False)
+    values.flags.writeable = False
+    return EmbeddingMatrix(vocab=tuple(seen), values=values, name=name)
 
 
 def write_glove_text(e: EmbeddingMatrix, dest: str | Path | IO) -> None:
     """Serialize in glove_text format with 6 significant digits."""
+    fmt = " %.6g" * e.n_dims + "\n"
     with opened(dest, "w", encoding="utf-8") as out:
         for word, row in zip(e.vocab, e.values):
-            out.write(word)
-            for v in row:
-                out.write(f" {v:.6g}")
-            out.write("\n")
+            out.write(word + fmt % tuple(row.tolist()))
 
 
 def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
@@ -277,8 +280,11 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     a_rows = np.fromiter((a.index[w] for w in shared), dtype=np.intp, count=len(shared))
     b_rows = np.fromiter((b_index[w] for w in shared), dtype=np.intp, count=len(shared))
     vocab = tuple(shared)
-    left = EmbeddingMatrix(vocab=vocab, values=a.values[a_rows], name=a.name)
-    right = EmbeddingMatrix(vocab=vocab, values=b.values[b_rows], name=b.name)
+    # fresh arrays, frozen here so EmbeddingMatrix keeps them without a copy
+    a_values, b_values = a.values[a_rows], b.values[b_rows]
+    a_values.flags.writeable = b_values.flags.writeable = False
+    left = EmbeddingMatrix(vocab=vocab, values=a_values, name=a.name)
+    right = EmbeddingMatrix(vocab=vocab, values=b_values, name=b.name)
     return AlignedPair(
         left=left,
         right=right,
@@ -299,4 +305,5 @@ def row_normalize(e: EmbeddingMatrix) -> tuple[EmbeddingMatrix, int]:
     n_zero = int(zero.sum())
     safe = np.where(zero, 1.0, norms)
     values = e.values / safe[:, None]
+    values.flags.writeable = False  # fresh: EmbeddingMatrix need not copy it
     return EmbeddingMatrix(vocab=e.vocab, values=values, name=e.name), n_zero

@@ -154,6 +154,7 @@ def random_embedding(
     if n_rows < 2 or n_dims < 1:
         raise ValueError("need n_rows >= 2 and n_dims >= 1")
     values = _rng(seed).standard_normal((n_rows, n_dims))
+    values.flags.writeable = False  # fresh: EmbeddingMatrix need not copy it
     return EmbeddingMatrix(
         vocab=synthetic_vocab(n_rows),
         values=values,
@@ -196,7 +197,10 @@ def derive_pair(
         values = step.apply(values)
     if spec.noise_sigma > 0:
         noise = _rng(spec.seed, jumps=1).standard_normal(values.shape)
-        values = values + spec.noise_sigma * noise
+        noise *= spec.noise_sigma  # in place: the same sum, two fewer N x D arrays
+        noise += values
+        values = noise
+    values.flags.writeable = False  # fresh (or base's own): no copy needed
     derived = EmbeddingMatrix(
         vocab=base.vocab, values=values, name=f"{base.name}-derived"
     )

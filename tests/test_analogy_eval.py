@@ -60,6 +60,18 @@ def test_parse_malformed_header_errors():
         parse_analogy_file(io.StringIO(": two words\na b c d\n"))
 
 
+def test_parse_crlf_file(tmp_path):
+    path = tmp_path / "questions.txt"
+    path.write_bytes(b": cat\r\n\r\nathens greece baghdad iraq\r\n")
+    (q,) = parse_analogy_file(path)
+    assert (q.a, q.d, q.category) == ("athens", "iraq", "cat")
+
+
+def test_parse_invalid_utf8_names_line():
+    with pytest.raises(AnalogyParseError, match="line 2: input is not valid UTF-8"):
+        parse_analogy_file(io.BytesIO(b": cat\na b \xff d\n"))
+
+
 def test_parse_lowercase_option():
     qs = parse_analogy_file(io.StringIO(": cat\nLondon England Madrid Spain\n"))
     assert qs[0].a == "London"

@@ -86,6 +86,16 @@ def test_compare_missing_file_names_path(tmp_path, capsys):
     assert "absent.txt" in err
 
 
+def test_compare_invalid_utf8_names_line(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    write_glove_text(make_embedding([[1.0, 2.0], [3.0, 4.0]]), good)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"word000 1 2\n\nw\xe9rd001 3 4\n")
+    code, _, err = run(capsys, "compare", good, bad)
+    assert code == 1
+    assert "line 3: input is not valid UTF-8" in err
+
+
 def test_compare_thread_count_invariance(synth_files, tmp_path, capsys):
     left, right = synth_files
     outs = []
@@ -278,6 +288,17 @@ def test_analogy_empty_questions_errors(tmp_path, capsys):
     code, _, err = run(capsys, "analogy", emb_path, q_path)
     assert code == 1
     assert "no questions" in err
+
+
+def test_analogy_invalid_utf8_questions_names_line(tmp_path, capsys):
+    emb, _ = grid_fixture()
+    emb_path = tmp_path / "emb.txt"
+    write_glove_text(emb, emb_path)
+    q_path = tmp_path / "questions.txt"
+    q_path.write_bytes(b": grid-shift\naa ba ab bb\naa ba \xc3 bb\n")
+    code, _, err = run(capsys, "analogy", emb_path, q_path)
+    assert code == 1
+    assert "line 3: input is not valid UTF-8" in err
 
 
 def _write_answers(path, rows):

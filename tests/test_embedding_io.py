@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embcompare import (
     EmbeddingMatrix,
@@ -57,6 +59,9 @@ def test_parse_from_path(tmp_path):
 def test_ragged_rows_error_names_line():
     with pytest.raises(ParseError, match="line 2"):
         parse_embedding(io.StringIO("a 1 2 3\nb 1 2 3 4"))
+    # one value must not be broadcast across the row
+    with pytest.raises(ParseError, match="line 2: expected 3 values for 'b', got 1"):
+        parse_embedding(io.StringIO("a 1 2 3\nb 7\n"))
 
 
 def test_duplicate_word_error_names_word():
@@ -82,6 +87,27 @@ def test_empty_file_error():
 def test_header_count_mismatch_error():
     with pytest.raises(ParseError, match="declares 3"):
         parse_embedding(io.StringIO("3 2\na 1 2\nb 3 4"))
+
+
+def test_huge_header_count_is_checked_not_allocated():
+    rows = "".join(f"w{i} " + " ".join(["0.5"] * 300) + "\n" for i in range(2))
+    with pytest.raises(ParseError, match="header declares 1000000000 rows"):
+        parse_embedding(io.StringIO("1000000000 300\n" + rows))
+
+
+def test_huge_header_dim_is_checked_not_allocated():
+    with pytest.raises(ParseError, match="line 2: expected 1000000000000 values"):
+        parse_embedding(io.StringIO("2 1000000000000\na 1 2\nb 3 4\n"))
+
+
+def test_values_use_python_float_grammar():
+    tokens = ["1_000", "-0", "1e-400", "\u0661\u0662", "+.5E1"]
+    e = parse_embedding(io.StringIO("a " + " ".join(tokens)))
+    assert e.values[0].tolist() == [float(t) for t in tokens] == [1000, 0, 0, 12, 5]
+    with pytest.raises(ParseError, match="line 1: non-finite"):
+        parse_embedding(io.StringIO("a 1 infinity"))
+    with pytest.raises(ParseError, match="line 1: non-numeric"):
+        parse_embedding(io.StringIO("a 1 0x10"))
 
 
 def test_word2vec_hint_requires_header():
@@ -138,6 +164,47 @@ def test_round_trip_via_file(tmp_path):
     write_glove_text(e, path)
     again = parse_embedding(path)
     assert np.array_equal(again.values, e.values)  # short decimals are exact
+
+
+# Words: any non-empty run of encodable, non-whitespace characters.
+_words = st.text(
+    st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n_dims=st.integers(1, 6),
+    vocab=st.lists(_words, min_size=1, max_size=8, unique=True),
+    word2vec=st.booleans(),
+)
+def test_write_parse_round_trip(data, n_dims, vocab, word2vec):
+    values = np.array(
+        data.draw(
+            st.lists(
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=n_dims,
+                    max_size=n_dims,
+                ),
+                min_size=len(vocab),
+                max_size=len(vocab),
+            )
+        ),
+        dtype=np.float64,
+    ).reshape(len(vocab), n_dims)
+    buf = io.StringIO()
+    if word2vec:
+        buf.write(f"{len(vocab)} {n_dims}\n")
+    write_glove_text(make_embedding(values, vocab), buf)
+    again = parse_embedding(
+        io.BytesIO(buf.getvalue().encode("utf-8")),
+        format_hint="word2vec_text" if word2vec else "glove_text",
+    )
+    assert again.vocab == tuple(vocab)
+    expected = [[float(f"{v:.6g}") for v in row] for row in values.tolist()]
+    assert again.values.tolist() == expected
 
 
 def test_align_orders_by_left_vocab():
