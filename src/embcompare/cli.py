@@ -96,6 +96,11 @@ def cmd_compare(args) -> int:
     workers = _resolve_workers(args.threads)
     left = parse_embedding(args.left, format_hint=args.format)
     right = parse_embedding(args.right, format_hint=args.format)
+    if left.n_dims != right.n_dims:
+        raise ValueError(
+            f"{args.left} has {left.n_dims} dimensions but {args.right} has "
+            f"{right.n_dims}; compare needs equal dimensionalities"
+        )
     pair = align_vocabularies(left, right)
 
     kappa = correlation_matrix(pair)

@@ -9,6 +9,13 @@ Files are UTF-8.  Values are parsed as 64-bit floats with Python's
 ``float()`` grammar (so ``1_000`` is accepted).  The header's row count is
 checked against the rows read, never trusted.  Words are compared
 byte-exact (no case folding, no Unicode normalization).
+
+Parsing is blockwise: about 1 MiB of lines at a time is converted by one
+``np.loadtxt`` call (numpy's C reader) and checked as a whole.  A block that
+fails any check is re-read row by row, which either accepts it (tokens such
+as ``1_000`` that ``float()`` takes and the C reader does not) or raises the
+first error with its line number.  Memory is the matrix (in a buffer that
+doubles as it fills and is trimmed once) plus one block.
 """
 from __future__ import annotations
 
@@ -16,7 +23,6 @@ import csv
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -25,6 +31,9 @@ import numpy as np
 # Rows per chunk of the covariance pass.  A constant, so the accumulation
 # order (and the result, bit for bit at a given BLAS thread count) is fixed.
 _COVARIANCE_CHUNK = 2048
+
+# Lines per bulk conversion in parse_embedding: about this many bytes of them.
+_BLOCK_BYTES = 1 << 20
 
 
 class ParseError(ValueError):
@@ -144,6 +153,15 @@ class AlignedPair:
         return cov
 
 
+def _decoded(line: bytes | str, lineno: int, error: type[ValueError]) -> str:
+    if isinstance(line, bytes):
+        try:
+            return line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise error(f"line {lineno}: input is not valid UTF-8") from None
+    return line
+
+
 def split_lines(
     source: str | Path | IO, error: type[ValueError] = ParseError
 ) -> Iterator[tuple[int, list[str]]]:
@@ -154,12 +172,7 @@ def split_lines(
     """
     with opened(source, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if isinstance(line, bytes):
-                try:
-                    line = line.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise error(f"line {lineno}: input is not valid UTF-8") from None
-            parts = line.split()
+            parts = _decoded(line, lineno, error).split()
             if parts:
                 yield lineno, parts
 
@@ -172,6 +185,111 @@ def _looks_like_header(parts: list[str]) -> bool:
     except ValueError:
         return False
     return count > 0 and dim > 0
+
+
+def _first_line(
+    parts: list[str], lineno: int, format_hint: str
+) -> tuple[tuple[int, int] | None, int]:
+    """``(header or None, n_dims)`` from the file's first non-blank line."""
+    if format_hint == "word2vec_text" or (
+        format_hint == "auto" and _looks_like_header(parts)
+    ):
+        if not _looks_like_header(parts):
+            raise ParseError(
+                f"line {lineno}: expected '<count> <dim>' header, got {parts!r}"
+            )
+        header = (int(parts[0]), int(parts[1]))
+        return header, header[1]
+    if len(parts) < 2:
+        raise ParseError(f"line {lineno}: row has a word but no values")
+    return None, len(parts) - 1
+
+
+def _reserve(values: np.ndarray, rows: int, n_dims: int) -> None:
+    """Grow the row buffer in place to a power-of-two capacity of ``rows`` or more.
+
+    Only rows already read are counted, never the header (outside input).
+    No view of the buffer outlives a statement, so the realloc is safe.
+    """
+    if rows > len(values):
+        values.resize((1 << (rows - 1).bit_length(), n_dims), refcheck=False)
+
+
+def _append_block(
+    start: int, lines: list, n_dims: int, values: np.ndarray, seen: dict[str, int]
+) -> bool:
+    """Append a block of lines (the first is line ``start``) in one ``np.loadtxt``.
+
+    Returns False, with nothing appended, when the block has anything the
+    row-by-row re-check must look at: invalid UTF-8, a word with no values,
+    a token numpy's C reader rejects, the wrong width, a non-finite value or
+    a duplicate word.
+    """
+    words: dict[str, int] = {}
+    rests: list[str] = []
+    try:
+        for lineno, line in enumerate(lines, start):
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            parts = line.split(None, 1)
+            if parts:
+                word, rest = parts
+                words[word] = lineno
+                rests.append(rest)
+    except ValueError:  # UnicodeDecodeError, or a word with no values
+        return False
+    if not rests:  # loadtxt warns on empty input
+        return True
+    if len(words) != len(rests) or not seen.keys().isdisjoint(words):
+        return False
+    try:
+        # no usecols: it would silently drop extra columns
+        rows = np.loadtxt(rests, comments=None, ndmin=2)
+    except ValueError:
+        return False
+    if rows.shape != (len(rests), n_dims) or not np.isfinite(rows).all():
+        return False
+    n = len(seen)
+    _reserve(values, n + len(rests), n_dims)
+    values[n : n + len(rests)] = rows
+    seen.update(words)
+    return True
+
+
+def _append_rows(
+    start: int, lines: list, n_dims: int, values: np.ndarray, seen: dict[str, int]
+) -> None:
+    """Append a block row by row, raising the first :class:`ParseError` in it.
+
+    Values follow Python's ``float()`` grammar, so this also accepts what
+    the C reader rejects (``1_000``, non-ASCII digits).
+    """
+    for lineno, line in enumerate(lines, start):
+        parts = _decoded(line, lineno, ParseError).split()
+        if not parts:
+            continue
+        word = parts[0]
+        if len(parts) - 1 != n_dims:  # before the assignment, which broadcasts
+            raise ParseError(
+                f"line {lineno}: expected {n_dims} values for {word!r}, "
+                f"got {len(parts) - 1}"
+            )
+        n = len(seen)
+        _reserve(values, n + 1, n_dims)
+        try:
+            values[n] = parts[1:]  # Python's float() grammar
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: non-numeric value in row {word!r}"
+            ) from None
+        if not np.isfinite(values[n]).all():
+            raise ParseError(f"line {lineno}: non-finite value in row {word!r}")
+        if word in seen:
+            raise ParseError(
+                f"line {lineno}: duplicate word {word!r} "
+                f"(first seen on line {seen[word]})"
+            )
+        seen[word] = lineno
 
 
 def parse_embedding(
@@ -191,57 +309,32 @@ def parse_embedding(
     if name is None:
         name = Path(source).stem if isinstance(source, (str, Path)) else "embedding"
 
-    lines = split_lines(source)
-    first = next(lines, None)
-    if first is None:
-        raise ParseError("empty embedding file")
-    lineno, parts = first
-    header: tuple[int, int] | None = None
-    if format_hint == "word2vec_text" or (
-        format_hint == "auto" and _looks_like_header(parts)
-    ):
-        if not _looks_like_header(parts):
-            raise ParseError(
-                f"line {lineno}: expected '<count> <dim>' header, got {parts!r}"
-            )
-        header = (int(parts[0]), int(parts[1]))
-        n_dims = header[1]
-    else:
-        n_dims = len(parts) - 1
-        if n_dims < 1:
-            raise ParseError(f"line {lineno}: row has a word but no values")
-        lines = chain([first], lines)
-
     # Rows go straight into one buffer that doubles when full.  It starts
-    # empty and the header never sizes it (the header is outside input):
-    # only a row that passed the width check can grow it.
+    # empty and the header never sizes it (the header is outside input).
     values = np.empty(0)
     seen: dict[str, int] = {}  # word -> line; insertion order is the vocab
-    for n, (lineno, parts) in enumerate(lines):
-        word = parts[0]
-        if len(parts) - 1 != n_dims:  # before the assignment, which broadcasts
-            raise ParseError(
-                f"line {lineno}: expected {n_dims} values for {word!r}, "
-                f"got {len(parts) - 1}"
-            )
-        if n == len(values):
-            # no view of the buffer outlives a statement, so realloc is safe
-            values.resize((max(2 * n, 1), n_dims), refcheck=False)
-        try:
-            values[n] = parts[1:]  # Python's float() grammar
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: non-numeric value in row {word!r}"
-            ) from None
-        if not np.isfinite(values[n]).all():
-            raise ParseError(f"line {lineno}: non-finite value in row {word!r}")
-        if word in seen:
-            raise ParseError(
-                f"line {lineno}: duplicate word {word!r} "
-                f"(first seen on line {seen[word]})"
-            )
-        seen[word] = lineno
+    header: tuple[int, int] | None = None
+    n_dims = 0  # 0 until the first non-blank line is read
+    with opened(source, "rb") as fh:
+        start = 1
+        while lines := fh.readlines(_BLOCK_BYTES):
+            block_start, start = start, start + len(lines)
+            if not n_dims:
+                for lineno, line in enumerate(lines, block_start):
+                    parts = _decoded(line, lineno, ParseError).split()
+                    if parts:
+                        break
+                else:
+                    continue
+                header, n_dims = _first_line(parts, lineno, format_hint)
+                if header is not None:
+                    lines = lines[lineno + 1 - block_start :]
+                    block_start = lineno + 1
+            if not _append_block(block_start, lines, n_dims, values, seen):
+                _append_rows(block_start, lines, n_dims, values, seen)
 
+    if not n_dims:
+        raise ParseError("empty embedding file")
     if not seen:
         raise ParseError("embedding file has a header but no rows")
     if header is not None and header[0] != len(seen):

@@ -4,11 +4,13 @@ Everything here deliberately takes a different computational route from the
 library: brute-force enumeration instead of the assignment solver, QR-based
 canonical correlations instead of covariance whitening, plain textbook
 formulas instead of vectorized kernels, and exact Fraction arithmetic on an
-explicit coincidence matrix for the agreement coefficient.
+explicit coincidence matrix for the agreement coefficient, and a
+textbook line-at-a-time ``str.split`` + ``float()`` parse of text embeddings.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +104,79 @@ def reference_cca_correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     qy, _ = np.linalg.qr(yc)
     s = np.linalg.svd(qx.T @ qy, compute_uv=False)
     return np.clip(s, 0.0, 1.0)
+
+
+def _positive_int(token: str) -> bool:
+    try:
+        return int(token) > 0
+    except ValueError:
+        return False
+
+
+def parse_embedding_rowwise(
+    data: bytes, format_hint: str = "auto"
+) -> tuple[list[str], list[list[float]]]:
+    """Textbook parse of a text embedding: one line at a time, ``float()`` per token.
+
+    Lines end at ``\\n`` only.  Returns ``(vocab, rows)``, or raises
+    ``ValueError`` with the package's ``ParseError`` message for the first
+    bad line.
+    """
+    vocab: list[str] = []
+    rows: list[list[float]] = []
+    first_seen: dict[str, int] = {}
+    declared = n_dims = None
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"line {lineno}: input is not valid UTF-8") from None
+        parts = line.split()
+        if not parts:
+            continue
+        if n_dims is None:
+            header = len(parts) == 2 and all(_positive_int(p) for p in parts)
+            if format_hint == "word2vec_text" or (format_hint == "auto" and header):
+                if not header:
+                    raise ValueError(
+                        f"line {lineno}: expected '<count> <dim>' header, got {parts!r}"
+                    )
+                declared, n_dims = int(parts[0]), int(parts[1])
+                continue
+            n_dims = len(parts) - 1
+            if n_dims == 0:
+                raise ValueError(f"line {lineno}: row has a word but no values")
+        word, tokens = parts[0], parts[1:]
+        if len(tokens) != n_dims:
+            raise ValueError(
+                f"line {lineno}: expected {n_dims} values for {word!r}, "
+                f"got {len(tokens)}"
+            )
+        try:
+            row = [float(t) for t in tokens]
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: non-numeric value in row {word!r}"
+            ) from None
+        if not all(math.isfinite(v) for v in row):
+            raise ValueError(f"line {lineno}: non-finite value in row {word!r}")
+        if word in first_seen:
+            raise ValueError(
+                f"line {lineno}: duplicate word {word!r} "
+                f"(first seen on line {first_seen[word]})"
+            )
+        first_seen[word] = lineno
+        vocab.append(word)
+        rows.append(row)
+    if n_dims is None:
+        raise ValueError("empty embedding file")
+    if not vocab:
+        raise ValueError("embedding file has a header but no rows")
+    if declared is not None and declared != len(vocab):
+        raise ValueError(
+            f"header declares {declared} rows but file contains {len(vocab)}"
+        )
+    return vocab, rows
 
 
 def alpha_coincidence_matrix(a, b) -> Fraction:

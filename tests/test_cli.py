@@ -96,6 +96,20 @@ def test_compare_invalid_utf8_names_line(tmp_path, capsys):
     assert "line 3: input is not valid UTF-8" in err
 
 
+def test_compare_dimension_mismatch_fails_after_parsing(tmp_path, capsys, monkeypatch):
+    left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+    write_glove_text(make_embedding(np.eye(3)), left)
+    write_glove_text(make_embedding(np.eye(4)[:3]), right)
+
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("kappa computed before the dimension check")
+
+    monkeypatch.setattr("embcompare.cli.correlation_matrix", no_kappa)
+    code, _, err = run(capsys, "compare", left, right)
+    assert code == 1
+    assert f"{left} has 3 dimensions but {right} has 4" in err
+
+
 def test_compare_thread_count_invariance(synth_files, tmp_path, capsys):
     left, right = synth_files
     outs = []

@@ -1,20 +1,23 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from embcompare import (
     EmbeddingMatrix,
     ParseError,
     align_vocabularies,
+    embedding_io,
     parse_embedding,
     row_normalize,
     write_glove_text,
 )
 from embcompare.embedding_io import opened
 from helpers import make_embedding
+from oracles import parse_embedding_rowwise
 
 
 def test_opened_closes_paths_and_leaves_handles_open(tmp_path):
@@ -205,6 +208,176 @@ def test_write_parse_round_trip(data, n_dims, vocab, word2vec):
     assert again.vocab == tuple(vocab)
     expected = [[float(f"{v:.6g}") for v in row] for row in values.tolist()]
     assert again.values.tolist() == expected
+
+
+def _blocks(data: bytes, block_bytes: int) -> list[list[bytes]]:
+    """The blocks ``parse_embedding`` reads ``data`` in at ``block_bytes``."""
+    fh = io.BytesIO(data)
+    return list(iter(lambda: fh.readlines(block_bytes), []))
+
+
+def _parse_in_blocks(data: bytes, block_bytes: int, format_hint: str = "auto"):
+    with mock.patch.object(embedding_io, "_BLOCK_BYTES", block_bytes):
+        return parse_embedding(io.BytesIO(data), format_hint=format_hint)
+
+
+# Characters str.split() treats as whitespace; the bare CR is one the C
+# reader rejects, which sends its block to the row-by-row re-check.
+_SEPARATORS = [
+    " ", "   ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", "\xa0", "\u2028", "\u3000", "\r",
+]
+_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.6g}"),
+    st.integers(-999, 999).map(str),
+)
+# float() accepts the first six (the C reader not the first three); the
+# rest are errors
+_ODD_TOKENS = [
+    "1_000", "\u0661\u0662", "\u0663.\u0665e1", "+.5E1", "-0", "1e-400",
+    "1e400", "nan", "-inf", "0x10", "oops", "1,5",
+]
+_BLOCK_WORDS = st.text(
+    st.sampled_from("abcxyz_.12\xe9\xfc\xdf\u4e2d\u0661"), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n_dims=st.integers(1, 5),
+    words=st.lists(_BLOCK_WORDS, min_size=6, max_size=30, unique=True),
+    header=st.booleans(),
+    blocks_per_file=st.integers(3, 12),
+)
+def test_blockwise_parse_matches_rowwise_oracle(
+    data, n_dims, words, header, blocks_per_file
+):
+    format_hint = data.draw(
+        st.sampled_from(["auto", "word2vec_text" if header else "glove_text"])
+    )
+    rows = [data.draw(st.lists(_TOKENS, min_size=n_dims, max_size=n_dims)) for _ in words]
+    broken: set[int] = set()  # rows whose word gets an invalid UTF-8 byte
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        i = data.draw(st.integers(0, len(words) - 1))
+        fault = data.draw(
+            st.sampled_from(["odd", "odd", "odd", "short", "long", "dup", "utf8"])
+        )
+        if fault == "odd" and rows[i]:
+            j = data.draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = data.draw(st.sampled_from(_ODD_TOKENS))
+        elif fault == "short" and rows[i]:
+            rows[i].pop()
+        elif fault == "long":
+            rows[i].append("0.5")
+        elif fault == "dup":
+            words[i] = words[data.draw(st.integers(0, len(words) - 1))]
+        elif fault == "utf8":
+            broken.add(i)
+
+    count = len(words) + data.draw(st.sampled_from([0, 0, 0, 1]))
+    lines = [f"{count} {n_dims}\n".encode()] if header else []
+    for i, (word, tokens) in enumerate(zip(words, rows)):
+        seps = data.draw(
+            st.lists(
+                st.sampled_from(_SEPARATORS), min_size=len(tokens), max_size=len(tokens)
+            )
+        )
+        line = word + "".join(s + t for s, t in zip(seps, tokens))
+        line += data.draw(st.sampled_from(["", " ", "\t", "\u3000"]))
+        line += data.draw(st.sampled_from(["\n", "\n", "\r\n"]))
+        lines.append((b"\xff" if i in broken else b"") + line.encode("utf-8"))
+        if data.draw(st.integers(0, 4)) == 0:
+            blank = data.draw(st.sampled_from(["\n", "\r\n", " \t\n", "\u3000\n"]))
+            lines.append(blank.encode())
+    text = b"".join(lines)
+    block_bytes = max(len(text) // blocks_per_file, 1)
+    assume(len(_blocks(text, block_bytes)) >= 3)
+
+    try:
+        vocab, values = parse_embedding_rowwise(text, format_hint)
+    except ValueError as exc:
+        with pytest.raises(ParseError) as got:
+            _parse_in_blocks(text, block_bytes, format_hint)
+        assert str(got.value) == str(exc)
+        return
+    e = _parse_in_blocks(text, block_bytes, format_hint)
+    assert list(e.vocab) == vocab
+    assert e.values.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+def test_clean_blocks_skip_the_row_recheck():
+    text = "".join(f"w{i} {i} {i / 7!r} -{i}e-3\n" for i in range(200)).encode()
+    assert len(_blocks(text, 256)) > 20
+    with mock.patch.object(embedding_io, "_append_rows", side_effect=AssertionError):
+        e = _parse_in_blocks(text, 256)
+    assert e.vocab == tuple(f"w{i}" for i in range(200))
+    assert e.values[:, 1].tolist() == [i / 7 for i in range(200)]
+
+
+def test_blank_and_header_only_blocks():
+    rows = [f"w{i} {i} 2\n" for i in range(5)]
+    text = "".join(["5 2\n", "\n" * 40, *rows[:2], " \t\n" * 30, *rows[2:]]).encode()
+    blocks = _blocks(text, 32)
+    assert blocks[0] == [b"5 2\n"] + [b"\n"] * 28  # the header, then blanks
+    assert any(set(b) == {b" \t\n"} for b in blocks)  # a block of blank lines
+    e = _parse_in_blocks(text, 32)
+    assert e.vocab == tuple(f"w{i}" for i in range(5))
+    assert e.values[:, 0].tolist() == list(range(5))
+
+
+@pytest.fixture(scope="module")
+def multi_block_lines():
+    """Lines of a 16-dim glove file spanning at least three real-size blocks,
+    with a blank line after every seventh row."""
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((11_000, 16))
+    lines = []
+    for i, row in enumerate(values.tolist()):
+        lines.append(f"w{i} " + " ".join(map(repr, row)) + "\n")
+        if i % 7 == 6:
+            lines.append("\n")
+    text = "".join(lines).encode()
+    assert len(_blocks(text, embedding_io._BLOCK_BYTES)) >= 3
+    return lines
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("ragged", "expected 16 values for 'w{i}', got 17"),
+        ("one_value", "expected 16 values for 'w{i}', got 1"),
+        ("non_numeric", "non-numeric value in row 'w{i}'"),
+        ("non_finite", "non-finite value in row 'w{i}'"),
+        ("utf8", "input is not valid UTF-8"),
+        ("duplicate", "duplicate word 'w2' (first seen on line 3)"),
+    ],
+)
+def test_errors_past_the_first_block_name_their_line(multi_block_lines, fault, message):
+    lines = [line.encode() for line in multi_block_lines]
+    lineno = len(lines) * 3 // 4  # in the third block or later
+    if not lines[lineno - 1].strip():
+        lineno += 1
+    word, *tokens = lines[lineno - 1].split()
+    lines[lineno - 1] = b" ".join({
+        "ragged": [word, *tokens, b"0.5"],
+        "one_value": [word, b"7"],
+        "non_numeric": [word, b"oops", *tokens[1:]],
+        "non_finite": [word, *tokens[:-1], b"inf"],
+        "utf8": [b"w\xe9rd", *tokens],
+        "duplicate": [b"w2", *tokens],
+    }[fault]) + b"\n"
+    text = b"".join(lines)
+    blocks = _blocks(text, embedding_io._BLOCK_BYTES)
+    assert lineno > len(blocks[0]) + len(blocks[1])
+    expected = f"line {lineno}: " + message.format(i=word.decode()[1:])
+    with pytest.raises(ParseError) as got:
+        parse_embedding(io.BytesIO(text))
+    assert str(got.value) == expected
+    with pytest.raises(ValueError) as oracle:
+        parse_embedding_rowwise(text)
+    assert str(oracle.value) == expected
 
 
 def test_align_orders_by_left_vocab():
