@@ -12,7 +12,6 @@ nominal labels over two raters.
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -120,9 +119,12 @@ class AgreementResult:
     alpha: float
     n_items: int
     n_excluded: int
-    n_agreements: int
-    coincidence: dict[tuple[str, str], int]
+    disagreeing: tuple[int, ...]  # positions answered by both, with different labels
     degenerate: bool = False  # all labels identical: alpha 1 by convention
+
+    @property
+    def n_agreements(self) -> int:
+        return self.n_items - len(self.disagreeing)
 
 
 def parse_analogy_file(
@@ -294,56 +296,49 @@ def krippendorff_alpha(
 ) -> AgreementResult:
     """Nominal-data Krippendorff's alpha for two raters.
 
-    Items where either label is None (skipped) are excluded.  Each usable
-    item contributes both ordered label pairs to the coincidence table;
-    alpha = 1 - observed/expected disagreement.  When every label is
-    identical the expected disagreement is zero and alpha is 1 by
-    convention, flagged as degenerate.
+    Items where either label is None (skipped) are excluded.  For two raters
+    and nominal labels the coincidence table reduces to the label marginals
+    and the number of disagreeing items (Krippendorff, *Computing
+    Krippendorff's Alpha-Reliability*, 2011); alpha = 1 - observed/expected
+    disagreement.  The positions of the disagreeing items are returned in
+    ``disagreeing``.  When every label is identical the expected
+    disagreement is zero and alpha is 1 by convention, flagged as
+    degenerate.
     """
     if len(answers_a) != len(answers_b):
         raise ValueError(
             f"answer sequences differ in length: {len(answers_a)} vs {len(answers_b)}"
         )
-    usable = [
-        (x, y) for x, y in zip(answers_a, answers_b) if x is not None and y is not None
-    ]
-    if not usable:
-        raise ValueError("no items were answered by both runs")
-    n_items = len(usable)
-    n_excluded = len(answers_a) - n_items
-
-    coincidence: Counter[tuple[str, str]] = Counter()
     label_counts: Counter[str] = Counter()
-    disagree = 0
-    for x, y in usable:
-        coincidence[(x, y)] += 1
-        coincidence[(y, x)] += 1
+    disagreeing: list[int] = []
+    n_items = 0
+    for i, (x, y) in enumerate(zip(answers_a, answers_b)):
+        if x is None or y is None:
+            continue
+        n_items += 1
         label_counts[x] += 1
         label_counts[y] += 1
         if x != y:
-            disagree += 1
+            disagreeing.append(i)
+    if not n_items:
+        raise ValueError("no items were answered by both runs")
 
     n = 2 * n_items
     expected_agree = Fraction(
         sum(c * (c - 1) for c in label_counts.values()), n * (n - 1)
     )
     expected_disagree = 1 - expected_agree
-    if expected_disagree == 0:
-        return AgreementResult(
-            alpha=1.0,
-            n_items=n_items,
-            n_excluded=n_excluded,
-            n_agreements=n_items - disagree,
-            coincidence=dict(coincidence),
-            degenerate=True,
-        )
-    alpha = 1 - Fraction(disagree, n_items) / expected_disagree
+    degenerate = expected_disagree == 0
+    if degenerate:
+        alpha = 1.0
+    else:
+        alpha = float(1 - Fraction(len(disagreeing), n_items) / expected_disagree)
     return AgreementResult(
-        alpha=float(alpha),
+        alpha=alpha,
         n_items=n_items,
-        n_excluded=n_excluded,
-        n_agreements=n_items - disagree,
-        coincidence=dict(coincidence),
+        n_excluded=len(answers_a) - n_items,
+        disagreeing=tuple(disagreeing),
+        degenerate=degenerate,
     )
 
 
@@ -353,10 +348,9 @@ class AgreementReport:
     right: EvaluationReport
     agreement: AgreementResult
     disagreements: tuple[dict, ...]
-    scores: dict | None = None
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "alpha": self.agreement.alpha,
             "n_items": self.agreement.n_items,
             "n_excluded": self.agreement.n_excluded,
@@ -364,26 +358,15 @@ class AgreementReport:
             "right": self.right.to_json_dict(),
             "disagreements": list(self.disagreements),
         }
-        if self.scores is not None:
-            d["scores"] = dict(self.scores)
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def agreement_report(
     e1: EmbeddingMatrix,
     e2: EmbeddingMatrix,
     questions: Sequence[AnalogyQuestion],
-    scores: dict | None = None,
     workers: int | None = None,
 ) -> AgreementReport:
-    """Evaluate both embeddings, compute alpha and list disagreements.
-
-    ``scores`` may carry companion similarity metrics (for example the
-    matching and CCA aggregates) to be echoed next to alpha.
-    """
+    """Evaluate both embeddings, compute alpha and list disagreements."""
     left = evaluate(e1, questions, workers=workers)
     right = evaluate(e2, questions, workers=workers)
     agreement = krippendorff_alpha(
@@ -393,25 +376,18 @@ def agreement_report(
     disagreements = tuple(
         {
             "question_index": i,
-            "a": q.a,
-            "b": q.b,
-            "c": q.c,
-            "d": q.d,
-            "category": q.category,
+            "a": questions[i].a,
+            "b": questions[i].b,
+            "c": questions[i].c,
+            "d": questions[i].d,
+            "category": questions[i].category,
             "predicted_left": left.answers[i].predicted,
             "predicted_right": right.answers[i].predicted,
         }
-        for i, q in enumerate(questions)
-        if left.answers[i].predicted is not None
-        and right.answers[i].predicted is not None
-        and left.answers[i].predicted != right.answers[i].predicted
+        for i in agreement.disagreeing
     )
     return AgreementReport(
-        left=left,
-        right=right,
-        agreement=agreement,
-        disagreements=disagreements,
-        scores=scores,
+        left=left, right=right, agreement=agreement, disagreements=disagreements
     )
 
 
@@ -430,8 +406,15 @@ def write_answers_csv(
 
 
 def read_answers_csv(source: str | Path | IO) -> list[dict]:
-    """Rows of an answers CSV as dicts, with basic schema validation."""
+    """Rows of an answers CSV as dicts of strings, validated row by row.
+
+    Every row must have exactly the header's fields, an integer
+    ``question_index``, a status of ANSWERED or SKIPPED, and a non-empty
+    ``predicted`` exactly when the status is ANSWERED.  A row that breaks
+    any of these raises ``ValueError`` naming the file and CSV line.
+    """
     with opened(source, "r", newline="", encoding="utf-8") as fh:
+        name = getattr(fh, "name", "answers CSV")
         reader = csv.DictReader(fh)
         required = {"question_index", "a", "b", "c", "d", "predicted", "status"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -439,4 +422,30 @@ def read_answers_csv(source: str | Path | IO) -> list[dict]:
                 f"answers CSV must have columns {sorted(required)}, "
                 f"got {reader.fieldnames}"
             )
-        return list(reader)
+        rows = []
+        for row in reader:
+            problem = _answer_row_problem(row)
+            if problem is not None:
+                raise ValueError(f"{name}: line {reader.line_num}: {problem}")
+            rows.append(row)
+        return rows
+
+
+def _answer_row_problem(row: dict) -> str | None:
+    """Why an answers-CSV row is malformed, or None when it is well formed."""
+    if None in row:  # csv.DictReader files surplus fields under the key None
+        return "row has more fields than the header"
+    if None in row.values():  # and fills missing ones with None
+        return "row has fewer fields than the header"
+    try:
+        int(row["question_index"])
+    except ValueError:
+        return f"question_index {row['question_index']!r} is not an integer"
+    status, predicted = row["status"], row["predicted"]
+    if status not in (ANSWERED, SKIPPED):
+        return f"status {status!r} is not {ANSWERED} or {SKIPPED}"
+    if status == ANSWERED and not predicted:
+        return f"{ANSWERED} row has an empty predicted label"
+    if status == SKIPPED and predicted:
+        return f"{SKIPPED} row has predicted label {predicted!r}"
+    return None

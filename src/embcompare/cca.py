@@ -12,7 +12,6 @@ and a fit at regularization 0 fails as numerically singular.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import IO
 
 import numpy as np
 
-from .embedding_io import AlignedPair, EmbeddingMatrix, write_csv_rows, write_glove_text
+from .embedding_io import AlignedPair, write_csv_rows
 
 # Auto ridge: this factor times the mean eigenvalue of each side's
 # auto-covariance.  |V| >> D keeps covariances well-posed, but near-duplicate
@@ -89,9 +88,6 @@ class CcaResult:
             "k": self.k,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     def write_correlations_csv(self, dest: str | Path | IO) -> None:
         """Canonical correlations in descending order, one per row."""
         rows = ([r, repr(float(v))] for r, v in enumerate(self.correlations, 1))
@@ -145,8 +141,12 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
             "canonical correlations will be unreliable",
             stacklevel=2,
         )
-    if regularization is not None and regularization < 0:
-        raise ValueError("regularization must be >= 0")
+    if regularization is not None and not (
+        np.isfinite(regularization) and regularization >= 0
+    ):
+        raise ValueError(
+            f"regularization must be a finite number >= 0, got {regularization!r}"
+        )
 
     cov = pair.covariance
     cov_xx, cov_yy, cov_xy = cov[:dx, :dx], cov[dx:, dx:], cov[:dx, dx:]
@@ -191,24 +191,6 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
         regularization_left=ridge_left,
         regularization_right=ridge_right,
     )
-
-
-def write_directions(
-    result: CcaResult, left_dest: str | Path | IO, right_dest: str | Path | IO
-) -> None:
-    """Write both direction matrices in glove_text layout.
-
-    One row per input dimension (labeled ``dim000001`` onward), one column
-    per kept canonical pair.
-    """
-    for directions, dest in (
-        (result.left_directions, left_dest),
-        (result.right_directions, right_dest),
-    ):
-        labels = tuple(f"dim{i + 1:06d}" for i in range(directions.shape[0]))
-        write_glove_text(
-            EmbeddingMatrix(vocab=labels, values=directions, name="directions"), dest
-        )
 
 
 def project(result: CcaResult, pair: AlignedPair) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .alignment import one_to_one_score
 from .analogy_eval import (
-    ANSWERED,
     agreement_report,
     evaluate,
     krippendorff_alpha,
@@ -108,43 +107,31 @@ def cmd_compare(args) -> int:
     matching = one_to_one_score(kappa, use_abs=args.abs_correlation)
     cca_result = cca_fit(pair, regularization=args.regularization)
 
+    zeta = {"zeta_1to1": matching.zeta_1to1, "zeta_cca": cca_result.zeta_cca}
+
     agreement_block = None
     if args.questions:
         questions = parse_analogy_file(args.questions, lowercase=args.lowercase)
         if not questions:
             raise ValueError(f"questions file {args.questions!r} has no questions")
-        agreement = agreement_report(
-            left,
-            right,
-            questions,
-            scores={
-                "zeta_1to1": matching.zeta_1to1,
-                "zeta_cca": cca_result.zeta_cca,
-            },
-            workers=workers,
-        )
-        agreement_block = agreement.to_json_dict()
+        agreement = agreement_report(left, right, questions, workers=workers)
+        agreement_block = {**agreement.to_json_dict(), "scores": zeta}
 
     if args.plots_dir:
         plots = Path(args.plots_dir)
         plots.mkdir(parents=True, exist_ok=True)
-        kappa_hist.write_csv(plots / "hist_kappa.csv")
-        matched_hist = histogram(
-            matching.matched_correlations, bins=args.bins, with_kde=args.kde
-        )
-        matched_hist.write_csv(plots / "hist_matched.csv")
-        cca_hist = histogram(
-            cca_result.correlations, bins=args.bins, with_kde=args.kde
-        )
-        cca_hist.write_csv(plots / "hist_cca.csv")
-        if args.kde:
-            for h, stem in (
-                (kappa_hist, "hist_kappa"),
-                (matched_hist, "hist_matched"),
-                (cca_hist, "hist_cca"),
-            ):
-                if h.kde_points is not None:
-                    h.write_kde_csv(plots / f"{stem}_kde.csv")
+        for stem, h in (
+            ("hist_kappa", kappa_hist),
+            ("hist_matched", histogram(
+                matching.matched_correlations, bins=args.bins, with_kde=args.kde
+            )),
+            ("hist_cca", histogram(
+                cca_result.correlations, bins=args.bins, with_kde=args.kde
+            )),
+        ):
+            h.write_csv(plots / f"{stem}.csv")
+            if h.kde_points is not None:
+                h.write_kde_csv(plots / f"{stem}_kde.csv")
         matching.write_matched_csv(plots / "matched_sorted.csv")
         cca_result.write_correlations_csv(plots / "cca_sorted.csv")
 
@@ -184,10 +171,7 @@ def cmd_compare(args) -> int:
             ],
         },
         "cca": cca_result.to_json_dict(),
-        "zeta": {
-            "zeta_1to1": matching.zeta_1to1,
-            "zeta_cca": cca_result.zeta_cca,
-        },
+        "zeta": zeta,
         "analogy_agreement": agreement_block,
     }
     if not args.no_timestamp:
@@ -260,11 +244,15 @@ def cmd_agreement(args) -> int:
                 f"answer files disagree on the question in row {row}: "
                 f"{' '.join(question_a)!r} vs {' '.join(question_b)!r}"
             )
-    labels_a = [r["predicted"] if r["status"] == ANSWERED else None for r in rows_a]
-    labels_b = [r["predicted"] if r["status"] == ANSWERED else None for r in rows_b]
-    result = krippendorff_alpha(labels_a, labels_b)
-    disagreements = [
-        {
+    # read_answers_csv guarantees predicted is empty exactly on SKIPPED rows
+    result = krippendorff_alpha(
+        [r["predicted"] or None for r in rows_a],
+        [r["predicted"] or None for r in rows_b],
+    )
+    disagreements = []
+    for i in result.disagreeing:
+        ra, rb = rows_a[i], rows_b[i]
+        disagreements.append({
             "question_index": int(ra["question_index"]),
             "a": ra["a"],
             "b": ra["b"],
@@ -272,10 +260,7 @@ def cmd_agreement(args) -> int:
             "d": ra["d"],
             "predicted_left": ra["predicted"],
             "predicted_right": rb["predicted"],
-        }
-        for ra, rb, la, lb in zip(rows_a, rows_b, labels_a, labels_b)
-        if la is not None and lb is not None and la != lb
-    ]
+        })
     doc = {
         "tool": _tool_block(),
         "config": {

@@ -63,3 +63,39 @@ def write_questions(path, questions) -> None:
                 category = q.category
                 fh.write(f": {category}\n")
             fh.write(f"{q.a} {q.b} {q.c} {q.d}\n")
+
+
+def swapped_fixture() -> tuple[EmbeddingMatrix, EmbeddingMatrix, list[AnalogyQuestion]]:
+    """Two embeddings that differ only in which word sits at each analogy
+    target, so both questions are answered by both, with different words.
+
+    Returns (first, second, questions); ``first`` answers win1, win2 and
+    ``second`` answers win2, win1.
+    """
+    vocab = ("qa", "qb", "qc", "win1", "win2")
+    t1 = np.array([-0.1, 0.1, 1.0])  # vec(qb) - vec(qa) + vec(qc)
+    t2 = np.array([0.1, -0.1, 1.0])  # vec(qa) - vec(qb) + vec(qc)
+    rows = np.array([[1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [0.0, 0.0, 1.0], t1, t2])
+    swapped = rows.copy()
+    swapped[[3, 4]] = swapped[[4, 3]]
+    questions = [
+        AnalogyQuestion(a="qa", b="qb", c="qc", d="win1", category="capital"),
+        AnalogyQuestion(a="qb", b="qa", c="qc", d="win2", category="capital"),
+    ]
+    return (
+        make_embedding(rows, vocab, name="first"),
+        make_embedding(swapped, vocab, name="second"),
+        questions,
+    )
+
+
+ANSWERS_HEADER = "question_index,a,b,c,d,predicted,status\n"
+# (bad row, the problem read_answers_csv reports for it)
+MALFORMED_ANSWER_ROWS = [
+    ("1,a,b,c\n", "row has fewer fields than the header"),
+    ("1,a,b,c,d,X,ANSWERED,extra\n", "row has more fields than the header"),
+    ("one,a,b,c,d,X,ANSWERED\n", "question_index 'one' is not an integer"),
+    ("1,a,b,c,d,X,answered\n", "status 'answered' is not ANSWERED or SKIPPED"),
+    ("1,a,b,c,d,,ANSWERED\n", "ANSWERED row has an empty predicted label"),
+    ("1,a,b,c,d,X,SKIPPED\n", "SKIPPED row has predicted label 'X'"),
+]

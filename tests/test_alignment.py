@@ -63,6 +63,21 @@ def test_lexicographic_tie_breaking(seed):
         assert tuple(assignment.tolist()) == perm
 
 
+def test_plain_sum_total_within_rounding_bound():
+    # scipy is exact for the cost w.max() - w, whose sums round differently
+    # from the plain sum of w; on a 0.1-step grid the reported total can
+    # trail the plain-sum maximum, but by no more than n^2 * eps * max|w|
+    grid = np.array([-0.2, -0.1, 0.0, 0.1, 0.2, 0.3])
+    rng = np.random.default_rng(2016)
+    eps = np.finfo(np.float64).eps
+    for _ in range(1000):
+        n = int(rng.integers(1, 7))
+        w = grid[rng.integers(0, grid.size, size=(n, n))]
+        _, total = max_weight_assignment(w)
+        _, best = brute_force_assignment(w)
+        assert best - total <= n * n * eps * np.abs(w).max()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_lexicographic_ties_beyond_brute_force_sizes(seed):
     rng = np.random.default_rng(100 + seed)
@@ -228,7 +243,7 @@ def test_monotone_noise_degradation():
 def test_matching_json_and_csv(tmp_path):
     kappa = CorrelationMatrix(values=np.array([[0.9, 0.1], [0.2, 0.8]]))
     matching = one_to_one_score(kappa)
-    doc = json.loads(matching.to_json())
+    doc = json.loads(json.dumps(matching.to_json_dict()))
     assert doc["assignment"] == [0, 1]
     assert doc["zeta_1to1"] == pytest.approx(0.85)
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,14 @@ from embcompare.analogy_eval import (
     read_answers_csv,
     write_answers_csv,
 )
-from helpers import exclusion_fixture, grid_fixture, make_embedding
+from helpers import (
+    ANSWERS_HEADER,
+    MALFORMED_ANSWER_ROWS,
+    exclusion_fixture,
+    grid_fixture,
+    make_embedding,
+    swapped_fixture,
+)
 from oracles import alpha_coincidence_matrix, cosine_ranking
 
 
@@ -209,9 +217,7 @@ def test_alpha_hand_computed_fixture():
     assert result.alpha == pytest.approx(float(Fraction(8, 15)), abs=1e-12)
     assert result.n_items == 4
     assert result.n_agreements == 3
-    assert result.coincidence[("X", "Y")] == 1
-    assert result.coincidence[("Y", "X")] == 1
-    assert result.coincidence[("X", "X")] == 2
+    assert result.disagreeing == (1,)
 
 
 def test_alpha_total_disagreement():
@@ -240,6 +246,14 @@ def test_alpha_skipped_items_excluded():
     assert result.alpha == 1.0
     assert result.n_items == 2
     assert result.n_excluded == 1
+    assert result.disagreeing == ()
+
+
+def test_alpha_disagreeing_positions_skip_excluded_items():
+    result = krippendorff_alpha(["X", None, "Y", "Z", "Y"], ["Y", "X", "Y", None, "X"])
+    assert result.disagreeing == (0, 4)
+    assert result.n_items == 3
+    assert result.n_agreements == 1
 
 
 def test_alpha_is_symmetric():
@@ -286,26 +300,14 @@ def test_agreement_report_identical_embeddings():
 
 
 def test_agreement_report_lists_disagreements():
-    # two embeddings that differ only in which word sits at each analogy
-    # target, so both questions get answered but with different words
-    vocab = ("qa", "qb", "qc", "win1", "win2")
-    t1 = np.array([-0.1, 0.1, 1.0])  # vec(qb) - vec(qa) + vec(qc)
-    t2 = np.array([0.1, -0.1, 1.0])  # vec(qa) - vec(qb) + vec(qc)
-    rows = np.array([[1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [0.0, 0.0, 1.0], t1, t2])
-    swapped = rows.copy()
-    swapped[[3, 4]] = swapped[[4, 3]]
-    e1 = make_embedding(rows, vocab, name="first")
-    e2 = make_embedding(swapped, vocab, name="second")
-    questions = [
-        AnalogyQuestion(a="qa", b="qb", c="qc", d="win1", category="capital"),
-        AnalogyQuestion(a="qb", b="qa", c="qc", d="win2", category="capital"),
-    ]
-    report = agreement_report(e1, e2, questions, scores={"zeta_cca": 0.5})
+    e1, e2, questions = swapped_fixture()
+    report = agreement_report(e1, e2, questions)
     assert [r.predicted for r in report.left.answers] == ["win1", "win2"]
     assert [r.predicted for r in report.right.answers] == ["win2", "win1"]
-    assert len(report.disagreements) == 2
+    assert report.agreement.disagreeing == (0, 1)
+    assert [d["question_index"] for d in report.disagreements] == [0, 1]
     doc = report.to_json_dict()
-    assert doc["scores"] == {"zeta_cca": 0.5}
+    assert "scores" not in doc
     assert doc["alpha"] == report.agreement.alpha
 
 
@@ -330,6 +332,14 @@ def test_answers_csv_schema_validation(tmp_path):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([["a", "b"], ["1", "2"]])
     with pytest.raises(ValueError, match="columns"):
+        read_answers_csv(path)
+
+
+@pytest.mark.parametrize("row, problem", MALFORMED_ANSWER_ROWS)
+def test_answers_csv_rejects_malformed_rows(tmp_path, row, problem):
+    path = tmp_path / "answers.csv"
+    path.write_text(ANSWERS_HEADER + "0,a,b,c,d,X,ANSWERED\n" + row)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {problem}")):
         read_answers_csv(path)
 
 

@@ -11,7 +11,14 @@ import pytest
 import embcompare
 from embcompare import parse_embedding, write_glove_text
 from embcompare.cli import main
-from helpers import grid_fixture, make_embedding, write_questions
+from helpers import (
+    ANSWERS_HEADER,
+    MALFORMED_ANSWER_ROWS,
+    grid_fixture,
+    make_embedding,
+    swapped_fixture,
+    write_questions,
+)
 
 
 def run(capsys, *argv):
@@ -213,6 +220,76 @@ def test_compare_with_questions_adds_agreement(tmp_path, capsys):
     assert agreement["scores"]["zeta_cca"] == report["zeta"]["zeta_cca"]
 
 
+SWAPPED_DISAGREEMENTS = [
+    {
+        "question_index": 0, "a": "qa", "b": "qb", "c": "qc", "d": "win1",
+        "category": "capital", "predicted_left": "win1", "predicted_right": "win2",
+    },
+    {
+        "question_index": 1, "a": "qb", "b": "qa", "c": "qc", "d": "win2",
+        "category": "capital", "predicted_left": "win2", "predicted_right": "win1",
+    },
+]
+DISAGREEMENT_KEYS = [
+    "question_index", "a", "b", "c", "d", "category",
+    "predicted_left", "predicted_right",
+]
+
+
+def _write_swapped(tmp_path):
+    first, second, questions = swapped_fixture()
+    paths = tmp_path / "first.txt", tmp_path / "second.txt"
+    write_glove_text(first, paths[0])
+    write_glove_text(second, paths[1])
+    q_path = tmp_path / "questions.txt"
+    write_questions(q_path, questions)
+    return paths, q_path
+
+
+# five words in three dimensions leave one CCA direction near-null
+@pytest.mark.filterwarnings("ignore:dropping")
+def test_compare_with_questions_lists_disagreements(tmp_path, capsys):
+    (first, second), q_path = _write_swapped(tmp_path)
+    out = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "compare", first, second, "--no-timestamp",
+        "--questions", q_path, "--out", out,
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    agreement = report["analogy_agreement"]
+    assert agreement["disagreements"] == SWAPPED_DISAGREEMENTS
+    for entry in agreement["disagreements"]:
+        assert list(entry) == DISAGREEMENT_KEYS
+    assert list(agreement)[-1] == "scores"
+    assert agreement["scores"] == report["zeta"]
+
+
+def test_agreement_lists_disagreements(tmp_path, capsys):
+    paths, q_path = _write_swapped(tmp_path)
+    csvs = []
+    for path in paths:
+        answers = path.with_suffix(".csv")
+        code, _, _ = run(
+            capsys, "analogy", path, q_path, "--answers-csv", answers,
+            "--out", tmp_path / "analogy.json",
+        )
+        assert code == 0
+        csvs.append(answers)
+    out = tmp_path / "agree.json"
+    code, _, _ = run(capsys, "agreement", *csvs, "--out", out)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    expected = [
+        {k: v for k, v in entry.items() if k != "category"}
+        for entry in SWAPPED_DISAGREEMENTS
+    ]
+    assert doc["disagreements"] == expected
+    for entry in doc["disagreements"]:
+        assert list(entry) == [k for k in DISAGREEMENT_KEYS if k != "category"]
+    assert doc["n_agreements"] == 0
+
+
 def test_compare_numerical_failure_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(1)
     col = rng.standard_normal(60)
@@ -226,6 +303,14 @@ def test_compare_numerical_failure_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "numerical" in err
+
+
+def test_non_finite_regularization_exits_one(synth_files, capsys):
+    left, right = synth_files
+    for bad in ("nan", "inf"):
+        code, _, err = run(capsys, "compare", left, right, "--regularization", bad)
+        assert code == 1
+        assert "embcompare: error: regularization must be a finite number" in err
 
 
 def test_usage_error_exits_one(capsys):
@@ -383,6 +468,17 @@ def test_agreement_swapped_rows_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "agreement", path_a, path_b)
     assert code == 1
     assert "row 2" in err
+
+
+@pytest.mark.parametrize("row, problem", MALFORMED_ANSWER_ROWS)
+def test_agreement_malformed_row_exits_one(tmp_path, capsys, row, problem):
+    good = tmp_path / "good.csv"
+    _write_answers(good, [("X", "ANSWERED"), ("Y", "ANSWERED")])
+    bad = tmp_path / "bad.csv"
+    bad.write_text(ANSWERS_HEADER + "0,a,b,c,d,X,ANSWERED\n" + row)
+    code, _, err = run(capsys, "agreement", good, bad)
+    assert code == 1
+    assert f"embcompare: error: {bad}: line 3: {problem}" in err
 
 
 def test_cli_import_does_not_load_scipy_stats():
