@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,7 +43,6 @@ from .synthgen import (
     random_sign_mask,
 )
 
-THREADS_ENV = "EMBCOMPARE_THREADS"
 # answers-CSV columns that identify a question; `agreement` pairs rows by position
 _QUESTION_COLUMNS = ("question_index", "a", "b", "c", "d")
 
@@ -55,23 +53,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _resolve_workers(flag_value: int | None) -> int:
-    if flag_value is not None:
-        if flag_value < 1:
-            raise ValueError(f"--threads must be a positive integer, got {flag_value}")
-        return flag_value
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise ValueError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
-        return n
-    return os.cpu_count() or 1
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -92,7 +73,11 @@ def _tool_block() -> dict:
 
 
 def cmd_compare(args) -> int:
-    workers = _resolve_workers(args.threads)
+    questions = None
+    if args.questions:  # before the embeddings, so a bad file fails fast
+        questions = parse_analogy_file(args.questions, lowercase=args.lowercase)
+        if not questions:
+            raise ValueError(f"questions file {args.questions!r} has no questions")
     left = parse_embedding(args.left, format_hint=args.format)
     right = parse_embedding(args.right, format_hint=args.format)
     if left.n_dims != right.n_dims:
@@ -110,11 +95,8 @@ def cmd_compare(args) -> int:
     zeta = {"zeta_1to1": matching.zeta_1to1, "zeta_cca": cca_result.zeta_cca}
 
     agreement_block = None
-    if args.questions:
-        questions = parse_analogy_file(args.questions, lowercase=args.lowercase)
-        if not questions:
-            raise ValueError(f"questions file {args.questions!r} has no questions")
-        agreement = agreement_report(left, right, questions, workers=workers)
+    if questions is not None:
+        agreement = agreement_report(left, right, questions)
         agreement_block = {**agreement.to_json_dict(), "scores": zeta}
 
     if args.plots_dir:
@@ -135,8 +117,8 @@ def cmd_compare(args) -> int:
         matching.write_matched_csv(plots / "matched_sorted.csv")
         cca_result.write_correlations_csv(plots / "cca_sorted.csv")
 
-    # --threads is deliberately not echoed: outputs are worker-invariant,
-    # so reports stay byte-identical across thread counts
+    # --threads is accepted but selects nothing, so it is not echoed and
+    # reports stay byte-identical across its values
     config = {
         "left": str(args.left),
         "right": str(args.right),
@@ -194,12 +176,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analogy(args) -> int:
-    workers = _resolve_workers(args.threads)
     emb = parse_embedding(args.embedding, format_hint=args.format)
     questions = parse_analogy_file(args.questions, lowercase=args.lowercase)
     if not questions:
         raise ValueError(f"questions file {args.questions!r} has no questions")
-    report = evaluate(emb, questions, workers=workers)
+    report = evaluate(emb, questions)
     if args.answers_csv:
         write_answers_csv(questions, report.answers, args.answers_csv)
 
@@ -327,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help=f"analogy-scoring threads (default: ${THREADS_ENV} or CPU "
-            "count); never changes results",
+            help="accepted for existing command lines and ignored: analogy "
+            "scoring is threaded by BLAS",
         )
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 

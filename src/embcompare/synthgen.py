@@ -100,8 +100,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_rows < 2 or self.n_dims < 1:
             raise ValueError("need n_rows >= 2 and n_dims >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(
+                f"noise_sigma must be a finite number >= 0, got {self.noise_sigma!r}"
+            )
         object.__setattr__(self, "transforms", tuple(self.transforms))
 
 

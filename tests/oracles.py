@@ -4,8 +4,9 @@ Everything here deliberately takes a different computational route from the
 library: brute-force enumeration instead of the assignment solver, QR-based
 canonical correlations instead of covariance whitening, plain textbook
 formulas instead of vectorized kernels, and exact Fraction arithmetic on an
-explicit coincidence matrix for the agreement coefficient, and a
-textbook line-at-a-time ``str.split`` + ``float()`` parse of text embeddings.
+explicit coincidence matrix for the agreement coefficient, a
+textbook line-at-a-time ``str.split`` + ``float()`` parse of text embeddings,
+and analogy answers scored one question at a time instead of in blocks.
 """
 from __future__ import annotations
 
@@ -221,3 +222,34 @@ def cosine_ranking(values: np.ndarray, target: np.ndarray) -> list[int]:
         denom = np.linalg.norm(row) * np.linalg.norm(target)
         sims.append((row @ target) / denom if denom else 0.0)
     return sorted(range(len(sims)), key=lambda i: (-sims[i], i))
+
+
+def analogy_answers_bruteforce(vocab, values, questions) -> list[tuple[str | None, float]]:
+    """3CosAdd answers, one question at a time, with each answer's margin.
+
+    Rows are scaled to unit length (all-zero rows stay zero).  Each question
+    scores every row with ``values @ (b - a + c)``, drops a, b and c, and
+    takes the first highest-scoring row.  Returns ``(word, gap)`` per
+    question, where gap is the best score minus the runner-up's (inf with
+    one candidate); ``(None, inf)`` when a, b or c is out of vocabulary or
+    no candidate is left.
+    """
+    index = {w: i for i, w in enumerate(vocab)}
+    values = np.asarray(values, dtype=np.float64)
+    norms = np.sqrt((values**2).sum(axis=1))
+    unit = values / np.where(norms == 0.0, 1.0, norms)[:, None]
+    answers: list[tuple[str | None, float]] = []
+    for q in questions:
+        if not {q.a, q.b, q.c} <= index.keys():
+            answers.append((None, math.inf))
+            continue
+        ia, ib, ic = index[q.a], index[q.b], index[q.c]
+        scores = unit @ (unit[ib] - unit[ia] + unit[ic])
+        candidates = [i for i in range(len(vocab)) if i not in (ia, ib, ic)]
+        if not candidates:
+            answers.append((None, math.inf))
+            continue
+        ranked = sorted(candidates, key=lambda i: (-scores[i], i))
+        gap = scores[ranked[0]] - scores[ranked[1]] if len(ranked) > 1 else math.inf
+        answers.append((vocab[ranked[0]], float(gap)))
+    return answers

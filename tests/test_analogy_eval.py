@@ -1,10 +1,13 @@
 import csv
 import io
+import itertools
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embcompare import (
     agreement_report,
@@ -28,7 +31,7 @@ from helpers import (
     make_embedding,
     swapped_fixture,
 )
-from oracles import alpha_coincidence_matrix, cosine_ranking
+from oracles import alpha_coincidence_matrix, analogy_answers_bruteforce, cosine_ranking
 
 
 def test_parse_semantic_category():
@@ -196,12 +199,47 @@ def test_evaluate_mixed_counts():
     assert total.answered + total.skipped == total.total
 
 
-def test_evaluate_workers_do_not_change_results():
-    emb, questions = grid_fixture()
-    qs = questions * 40
-    single = evaluate(emb, qs, workers=1)
-    pooled = evaluate(emb, qs, workers=4)
-    assert [r.predicted for r in single.answers] == [r.predicted for r in pooled.answers]
+# question counts that straddle the fixed 128-question scoring block
+@settings(max_examples=40, deadline=None)
+@given(
+    n_questions=st.sampled_from([1, 127, 128, 129, 2 * 128 + 1]),
+    n_words=st.integers(3, 30),
+    n_dims=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_matches_bruteforce_oracle_across_blocks(
+    n_questions, n_words, n_dims, seed
+):
+    rng = np.random.default_rng(seed)
+    emb = make_embedding(rng.standard_normal((n_words, n_dims)))
+    # about one word in five is out of vocabulary, so some questions are skipped
+    pool = list(emb.vocab) + [f"oov{i}" for i in range(max(1, n_words // 4))]
+    questions = [
+        AnalogyQuestion(*rng.choice(pool, 4).tolist(), category="mixed")
+        for _ in range(n_questions)
+    ]
+    assert_matches_oracle(emb, questions)
+
+
+@pytest.mark.parametrize("n_words", [3, 4])
+def test_evaluate_matches_oracle_when_no_candidate_is_left(n_words):
+    rng = np.random.default_rng(n_words)
+    emb = make_embedding(rng.standard_normal((n_words, 2)))
+    triples = list(itertools.product(emb.vocab, repeat=3)) * 10  # > 2 blocks
+    questions = [AnalogyQuestion(a, b, c, "word000", "tiny") for a, b, c in triples]
+    predicted = assert_matches_oracle(emb, questions)
+    # a question is unanswerable exactly when a, b and c cover the vocabulary
+    assert [p is None for p in predicted] == [len(set(t)) == n_words for t in triples]
+
+
+def assert_matches_oracle(emb, questions):
+    """evaluate() agrees with the brute-force oracle on every clear answer."""
+    predicted = [r.predicted for r in evaluate(emb, questions).answers]
+    oracle = analogy_answers_bruteforce(emb.vocab, emb.values, questions)
+    # sub-ulp near-ties depend on the BLAS kernel; compare clear winners only
+    clear = [i for i, (_, gap) in enumerate(oracle) if gap > 1e-9]
+    assert [predicted[i] for i in clear] == [oracle[i][0] for i in clear]
+    return predicted
 
 
 def test_alpha_identical_sequences():

@@ -68,6 +68,18 @@ def test_synth_outputs_parse(tmp_path, capsys):
     assert "wrote" in err
 
 
+def test_synth_non_finite_sigma_exits_one(tmp_path, capsys):
+    outputs = tmp_path / "l.txt", tmp_path / "r.txt", tmp_path / "t.json"
+    for sigma in ("nan", "inf"):
+        code, _, err = run(
+            capsys, "synth", "--rows", "5", "--dims", "3", "--sigma", sigma,
+            "--out-left", outputs[0], "--out-right", outputs[1], "--truth", outputs[2],
+        )
+        assert code == 1
+        assert f"noise_sigma must be a finite number >= 0, got {sigma}" in err
+        assert not any(path.exists() for path in outputs)
+
+
 def test_compare_self_is_perfect(tmp_path, capsys):
     path = tmp_path / "e.txt"
     rng = np.random.default_rng(0)
@@ -115,6 +127,55 @@ def test_compare_dimension_mismatch_fails_after_parsing(tmp_path, capsys, monkey
     code, _, err = run(capsys, "compare", left, right)
     assert code == 1
     assert f"{left} has 3 dimensions but {right} has 4" in err
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [(": capital\nqa qb qc\n", "line 2: expected 4 words, got 3"), ("", "has no questions")],
+)
+def test_compare_checks_questions_before_parsing(tmp_path, capsys, monkeypatch, text, problem):
+    q_path = tmp_path / "questions.txt"
+    q_path.write_text(text)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("embedding parsed before the question file was checked")
+
+    monkeypatch.setattr("embcompare.cli.parse_embedding", no_parse)
+    code, _, err = run(
+        capsys, "compare", tmp_path / "left.txt", tmp_path / "right.txt",
+        "--questions", q_path,
+    )
+    assert code == 1
+    assert problem in err
+
+
+def test_every_subcommand_accepts_threads_flag(tmp_path, capsys):
+    # --threads selects nothing, but existing command lines pass it to every call
+    left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+    code, _, _ = run(
+        capsys, "synth", "--rows", "400", "--dims", "8", "--seed", "3",
+        "--sigma", "0.1", "--out-left", left, "--out-right", right, "--threads", "1",
+    )
+    assert code == 0
+    q_path = tmp_path / "questions.txt"
+    q_path.write_text(": capital-x\nw000001 w000002 w000003 w000004\n")
+    csvs = []
+    for side in (left, right):
+        csvs.append(tmp_path / f"{side.stem}.csv")
+        code, _, _ = run(
+            capsys, "analogy", side, q_path, "--answers-csv", csvs[-1],
+            "--threads", "1", "--out", tmp_path / f"{side.stem}.json",
+        )
+        assert code == 0
+    code, _, _ = run(
+        capsys, "agreement", *csvs, "--threads", "1", "--out", tmp_path / "agreement.json"
+    )
+    assert code == 0
+    code, _, _ = run(
+        capsys, "compare", left, right, "--questions", q_path, "--no-timestamp",
+        "--threads", "1", "--out", tmp_path / "report.json",
+    )
+    assert code == 0
 
 
 def test_compare_thread_count_invariance(synth_files, tmp_path, capsys):
@@ -316,27 +377,6 @@ def test_non_finite_regularization_exits_one(synth_files, capsys):
 def test_usage_error_exits_one(capsys):
     assert main(["compare"]) == 1
     capsys.readouterr()
-
-
-def test_bad_thread_counts_exit_one(synth_files, capsys, monkeypatch):
-    left, right = synth_files
-    code, _, err = run(capsys, "compare", left, right, "--threads", "0")
-    assert code == 1
-    assert "--threads" in err
-
-    monkeypatch.setenv("EMBCOMPARE_THREADS", "lots")
-    code, _, err = run(capsys, "compare", left, right)
-    assert code == 1
-    assert "EMBCOMPARE_THREADS" in err
-
-
-def test_threads_env_var_honored(synth_files, tmp_path, capsys, monkeypatch):
-    left, right = synth_files
-    monkeypatch.setenv("EMBCOMPARE_THREADS", "2")
-    out = tmp_path / "env.json"
-    code, _, _ = run(capsys, "compare", left, right, "--no-timestamp", "--out", out)
-    assert code == 0
-    json.loads(out.read_text())
 
 
 def test_analogy_toy_accuracy(tmp_path, capsys):

@@ -51,8 +51,9 @@ def test_invalid_shapes_rejected():
         random_embedding(1, 5, seed=0)
     with pytest.raises(ValueError):
         random_embedding(10, 0, seed=0)
-    with pytest.raises(ValueError):
-        SynthSpec(n_rows=10, n_dims=2, noise_sigma=-0.5)
+    for sigma in (-0.5, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            SynthSpec(n_rows=10, n_dims=2, noise_sigma=sigma)
 
 
 def test_spec_must_match_base():
