@@ -38,7 +38,6 @@ from .embedding_io import (
     write_glove_text,
 )
 from .synthgen import (
-    GroundTruth,
     Linear,
     Permutation,
     SignFlip,
@@ -59,7 +58,6 @@ __all__ = [
     "CcaResult",
     "CorrelationMatrix",
     "EmbeddingMatrix",
-    "GroundTruth",
     "HistogramSummary",
     "Linear",
     "Matching",

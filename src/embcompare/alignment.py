@@ -35,27 +35,36 @@ class Matching:
 
     When the matching was computed on absolute correlations,
     ``abs_objective`` is True and the absolute values and their mean are
-    reported alongside the signed ones.
+    reported alongside the signed ones (both None otherwise).
     """
 
     assignment: np.ndarray
     matched_correlations: np.ndarray
-    zeta_1to1: float
     abs_objective: bool = False
-    matched_abs_correlations: np.ndarray | None = None
-    zeta_abs_1to1: float | None = None
 
     def __post_init__(self):
         a = np.asarray(self.assignment, dtype=np.intp)
         if sorted(a.tolist()) != list(range(a.shape[0])):
             raise ValueError("assignment is not a permutation")
-        if abs(self.zeta_1to1 - np.mean(self.matched_correlations)) > 1e-12:
-            raise ValueError("zeta_1to1 is not the mean matched correlation")
         object.__setattr__(self, "assignment", a)
 
     @property
     def n_dims(self) -> int:
         return self.assignment.shape[0]
+
+    @property
+    def zeta_1to1(self) -> float:
+        return float(self.matched_correlations.mean())
+
+    @property
+    def matched_abs_correlations(self) -> np.ndarray | None:
+        return np.abs(self.matched_correlations) if self.abs_objective else None
+
+    @property
+    def zeta_abs_1to1(self) -> float | None:
+        if not self.abs_objective:
+            return None
+        return float(self.matched_abs_correlations.mean())
 
     def sorted_matched(self) -> np.ndarray:
         """Matched correlations in descending order (the rank-plot view)."""
@@ -265,19 +274,8 @@ def one_to_one_score(kappa: CorrelationMatrix, use_abs: bool = False) -> Matchin
         )
     target = np.abs(values) if use_abs else values
     assignment, _ = max_weight_assignment(target)
-    matched = values[assignment, np.arange(values.shape[1])]
-    if use_abs:
-        matched_abs = np.abs(matched)
-        return Matching(
-            assignment=assignment,
-            matched_correlations=matched,
-            zeta_1to1=float(matched.mean()),
-            abs_objective=True,
-            matched_abs_correlations=matched_abs,
-            zeta_abs_1to1=float(matched_abs.mean()),
-        )
     return Matching(
         assignment=assignment,
-        matched_correlations=matched,
-        zeta_1to1=float(matched.mean()),
+        matched_correlations=values[assignment, np.arange(values.shape[1])],
+        abs_objective=use_abs,
     )

@@ -78,8 +78,11 @@ class ScopeCounts:
 
     total: int
     answered: int
-    skipped: int
     correct: int
+
+    @property
+    def skipped(self) -> int:
+        return self.total - self.answered
 
     @property
     def accuracy(self) -> float | None:
@@ -222,11 +225,9 @@ def _tally(
     questions: Sequence[AnalogyQuestion], answers: Sequence[AnswerRecord]
 ) -> tuple[dict[str, ScopeCounts], dict[str, ScopeCounts], ScopeCounts]:
     def counts(indices: list[int]) -> ScopeCounts:
-        answered = sum(1 for i in indices if answers[i].predicted is not None)
         return ScopeCounts(
             total=len(indices),
-            answered=answered,
-            skipped=len(indices) - answered,
+            answered=sum(1 for i in indices if answers[i].predicted is not None),
             correct=sum(1 for i in indices if answers[i].correct),
         )
 

@@ -49,7 +49,6 @@ class CcaResult:
     left_directions: np.ndarray
     right_directions: np.ndarray
     correlations: np.ndarray
-    zeta_cca: float
     regularization_left: float
     regularization_right: float
 
@@ -61,14 +60,16 @@ class CcaResult:
             raise ValueError("correlations must be sorted descending")
         if corr.min() < 0.0 or corr.max() > 1.0 + 1e-9:
             raise ValueError("correlations outside [0, 1]")
-        if abs(self.zeta_cca - corr.mean()) > 1e-12:
-            raise ValueError("zeta_cca is not the mean canonical correlation")
         for name in ("left_directions", "right_directions", "correlations"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.flags.writeable:
                 arr = arr.copy()
                 arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def zeta_cca(self) -> float:
+        return float(self.correlations.mean())
 
     @property
     def k(self) -> int:
@@ -187,7 +188,6 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
         left_directions=left_dirs,
         right_directions=right_dirs,
         correlations=s,
-        zeta_cca=float(s.mean()),
         regularization_left=ridge_left,
         regularization_right=ridge_right,
     )

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .alignment import one_to_one_score
 from .analogy_eval import (
+    AnalogyQuestion,
     agreement_report,
     evaluate,
     krippendorff_alpha,
@@ -72,12 +73,16 @@ def _tool_block() -> dict:
     return {"name": "embcompare", "version": __version__}
 
 
+def _read_questions(args) -> list[AnalogyQuestion]:
+    """Parse ``args.questions``; before any embedding, so a bad file fails fast."""
+    questions = parse_analogy_file(args.questions, lowercase=args.lowercase)
+    if not questions:
+        raise ValueError(f"questions file {args.questions!r} has no questions")
+    return questions
+
+
 def cmd_compare(args) -> int:
-    questions = None
-    if args.questions:  # before the embeddings, so a bad file fails fast
-        questions = parse_analogy_file(args.questions, lowercase=args.lowercase)
-        if not questions:
-            raise ValueError(f"questions file {args.questions!r} has no questions")
+    questions = _read_questions(args) if args.questions else None
     left = parse_embedding(args.left, format_hint=args.format)
     right = parse_embedding(args.right, format_hint=args.format)
     if left.n_dims != right.n_dims:
@@ -176,10 +181,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analogy(args) -> int:
+    questions = _read_questions(args)
     emb = parse_embedding(args.embedding, format_hint=args.format)
-    questions = parse_analogy_file(args.questions, lowercase=args.lowercase)
-    if not questions:
-        raise ValueError(f"questions file {args.questions!r} has no questions")
     report = evaluate(emb, questions)
     if args.answers_csv:
         write_answers_csv(questions, report.answers, args.answers_csv)
@@ -275,18 +278,12 @@ def cmd_synth(args) -> int:
         transforms = (random_invertible(args.dims, args.seed),)
     else:  # argparse choices make this unreachable
         raise ValueError(f"unknown transform {args.transform!r}")
-    spec = SynthSpec(
-        n_rows=args.rows,
-        n_dims=args.dims,
-        transforms=transforms,
-        noise_sigma=args.sigma,
-        seed=args.seed,
-    )
-    pair, truth = derive_pair(base, spec)
+    spec = SynthSpec(transforms=transforms, noise_sigma=args.sigma, seed=args.seed)
+    pair = derive_pair(base, spec)
     write_glove_text(pair.left, args.out_left)
     write_glove_text(pair.right, args.out_right)
     if args.truth:
-        Path(args.truth).write_text(truth.to_json() + "\n", encoding="utf-8")
+        Path(args.truth).write_text(spec.to_json() + "\n", encoding="utf-8")
     _note(
         f"wrote {args.rows} x {args.dims} pair "
         f"(transform={args.transform}, sigma={args.sigma}, seed={args.seed}) "

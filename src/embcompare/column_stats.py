@@ -33,8 +33,6 @@ class CorrelationMatrix:
     """Dense grid of Pearson correlations between two sets of feature columns."""
 
     values: np.ndarray
-    left_name: str = "left"
-    right_name: str = "right"
     degenerate_left: tuple[int, ...] = ()
     degenerate_right: tuple[int, ...] = ()
 
@@ -134,8 +132,6 @@ def correlation_matrix(pair: AlignedPair) -> CorrelationMatrix:
     np.clip(out, -1.0, 1.0, out=out)
     return CorrelationMatrix(
         values=out,
-        left_name=pair.left.name,
-        right_name=pair.right.name,
         degenerate_left=tuple(int(i) for i in np.flatnonzero(degenerate[:d])),
         degenerate_right=tuple(int(i) for i in np.flatnonzero(degenerate[d:])),
     )

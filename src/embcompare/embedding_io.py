@@ -121,15 +121,16 @@ class AlignedPair:
 
     left: EmbeddingMatrix
     right: EmbeddingMatrix
-    shared_count: int
     dropped_left: int = 0
     dropped_right: int = 0
 
     def __post_init__(self):
         if self.left.vocab != self.right.vocab:
             raise ValueError("left and right vocabularies differ")
-        if self.shared_count != len(self.left.vocab) or self.shared_count < 1:
-            raise ValueError("shared_count does not match the vocabularies")
+
+    @property
+    def shared_count(self) -> int:
+        return len(self.left.vocab)
 
     @cached_property
     def covariance(self) -> np.ndarray:
@@ -362,7 +363,7 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     reused without copying (they are immutable).
     """
     if a.vocab == b.vocab:
-        return AlignedPair(left=a, right=b, shared_count=len(a.vocab))
+        return AlignedPair(left=a, right=b)
 
     b_index = b.index
     shared = [w for w in a.vocab if w in b_index]
@@ -381,7 +382,6 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     return AlignedPair(
         left=left,
         right=right,
-        shared_count=len(shared),
         dropped_left=a.n_words - len(shared),
         dropped_right=b.n_words - len(shared),
     )

@@ -1,5 +1,10 @@
 """Synthetic embeddings with known ground truth, for validating the metrics.
 
+A :class:`SynthSpec` (transforms, noise level, seed) is both the recipe for
+a derived pair and its ground truth: :func:`derive_pair` returns the pair
+alone, and ``spec.to_json()`` is the record ``synth --truth`` writes.  The
+pair's shape is the base's; each transform must be as wide as the base.
+
 Randomness comes from numpy's Philox counter-based bit generator (4x64,
 10 rounds) keyed by the caller's seed: identical seeds give bit-identical
 matrices.  Noise added by :func:`derive_pair` uses the Philox stream
@@ -36,6 +41,10 @@ class Permutation:
             raise ValueError("order is not a permutation")
         object.__setattr__(self, "order", order)
 
+    @property
+    def width(self) -> int:
+        return self.order.shape[0]
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         return values[:, self.order]
 
@@ -50,7 +59,14 @@ class SignFlip:
     mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
+        mask = np.asarray(self.mask, dtype=bool)
+        if mask.ndim != 1:
+            raise ValueError(f"mask must be 1-D, got shape {mask.shape}")
+        object.__setattr__(self, "mask", mask)
+
+    @property
+    def width(self) -> int:
+        return self.mask.shape[0]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         signs = np.where(self.mask, -1.0, 1.0)
@@ -77,6 +93,10 @@ class Linear:
             )
         object.__setattr__(self, "matrix", m)
 
+    @property
+    def width(self) -> int:
+        return self.matrix.shape[0]
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         return values @ self.matrix
 
@@ -89,34 +109,25 @@ Transform = Permutation | SignFlip | Linear
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Recipe for deriving a paired embedding from a base one."""
+    """Recipe for deriving a paired embedding from a base one.
 
-    n_rows: int
-    n_dims: int
+    The spec is also the pair's ground truth: the transforms applied in
+    order, then i.i.d. Gaussian noise of ``noise_sigma`` drawn from ``seed``.
+    """
+
     transforms: tuple[Transform, ...] = ()
     noise_sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_rows < 2 or self.n_dims < 1:
-            raise ValueError("need n_rows >= 2 and n_dims >= 1")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(
                 f"noise_sigma must be a finite number >= 0, got {self.noise_sigma!r}"
             )
         object.__setattr__(self, "transforms", tuple(self.transforms))
 
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Exact record of the transforms and noise used to derive a pair."""
-
-    steps: tuple[Transform, ...]
-    noise_sigma: float
-    seed: int
-
     def _single(self, kind):
-        found = [s for s in self.steps if isinstance(s, kind)]
+        found = [s for s in self.transforms if isinstance(s, kind)]
         return found[0] if len(found) == 1 else None
 
     @property
@@ -136,7 +147,7 @@ class GroundTruth:
 
     def to_json_dict(self) -> dict:
         return {
-            "steps": [s.to_json_dict() for s in self.steps],
+            "steps": [s.to_json_dict() for s in self.transforms],
             "noise_sigma": self.noise_sigma,
             "seed": self.seed,
         }
@@ -168,8 +179,9 @@ def random_permutation(n_dims: int, seed: int) -> Permutation:
     return Permutation(order=_rng(seed).permutation(n_dims))
 
 
-def random_sign_mask(n_dims: int, seed: int, p_flip: float = 0.5) -> SignFlip:
-    return SignFlip(mask=_rng(seed).random(n_dims) < p_flip)
+def random_sign_mask(n_dims: int, seed: int) -> SignFlip:
+    """Flip each column with probability 1/2."""
+    return SignFlip(mask=_rng(seed).random(n_dims) < 0.5)
 
 
 def random_invertible(n_dims: int, seed: int) -> Linear:
@@ -181,21 +193,20 @@ def random_invertible(n_dims: int, seed: int) -> Linear:
     return Linear(matrix=_rng(seed).standard_normal((n_dims, n_dims)))
 
 
-def derive_pair(
-    base: EmbeddingMatrix, spec: SynthSpec
-) -> tuple[AlignedPair, GroundTruth]:
+def derive_pair(base: EmbeddingMatrix, spec: SynthSpec) -> AlignedPair:
     """Apply a transform chain plus i.i.d. Gaussian noise to a base embedding.
 
     The left side of the returned pair is ``base`` itself; the right side is
-    the derived embedding.  Noise is added after all transforms.
+    the derived embedding.  Noise is added after all transforms.  Every
+    transform must be as wide as ``base``.
     """
-    if spec.n_rows != base.n_words or spec.n_dims != base.n_dims:
-        raise ValueError(
-            f"spec is {spec.n_rows}x{spec.n_dims} but base is "
-            f"{base.n_words}x{base.n_dims}"
-        )
     values = base.values
-    for step in spec.transforms:
+    for i, step in enumerate(spec.transforms):
+        if step.width != base.n_dims:
+            raise ValueError(
+                f"step {i} ({type(step).__name__}) is {step.width} wide but "
+                f"base has {base.n_dims} dimensions"
+            )
         values = step.apply(values)
     if spec.noise_sigma > 0:
         noise = _rng(spec.seed, jumps=1).standard_normal(values.shape)
@@ -206,8 +217,4 @@ def derive_pair(
     derived = EmbeddingMatrix(
         vocab=base.vocab, values=values, name=f"{base.name}-derived"
     )
-    pair = AlignedPair(left=base, right=derived, shared_count=base.n_words)
-    truth = GroundTruth(
-        steps=spec.transforms, noise_sigma=spec.noise_sigma, seed=spec.seed
-    )
-    return pair, truth
+    return AlignedPair(left=base, right=derived)

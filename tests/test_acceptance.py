@@ -77,11 +77,9 @@ def test_criterion_02_permutation_recovery():
     for seed in range(20):
         base = random_embedding(5000, 50, seed=seed)
         perm = random_permutation(50, seed=seed + 10_000)
-        pair, truth = derive_pair(
-            base, SynthSpec(5000, 50, (perm,), noise_sigma=0.0, seed=seed)
-        )
-        matching = one_to_one_score(correlation_matrix(pair))
-        assert matching.assignment.tolist() == truth.permutation.tolist()
+        spec = SynthSpec((perm,), noise_sigma=0.0, seed=seed)
+        matching = one_to_one_score(correlation_matrix(derive_pair(base, spec)))
+        assert matching.assignment.tolist() == spec.permutation.tolist()
         assert abs(matching.zeta_1to1 - 1.0) <= 1e-9
 
 
@@ -90,7 +88,7 @@ def test_criterion_03_cca_invariance():
     for seed in range(20):
         base = random_embedding(5000, 50, seed=seed)
         mix = random_invertible(50, seed=seed + 20_000)
-        pair, _ = derive_pair(base, SynthSpec(5000, 50, (mix,), 0.0, seed=seed))
+        pair = derive_pair(base, SynthSpec((mix,), 0.0, seed=seed))
         result = cca_fit(pair)  # default regularization
         assert result.k == 50
         assert np.abs(result.correlations - 1.0).max() <= 1e-6
@@ -125,10 +123,7 @@ def test_criterion_05_relaxation_ordering():
         for sigma in NOISE_GRID[1:]:
             for seed in range(4):
                 base = random_embedding(10_000, 10, seed=seed + 50_000)
-                pair, _ = derive_pair(
-                    base,
-                    SynthSpec(10_000, 10, build(seed + 60_000), sigma, seed=seed),
-                )
+                pair = derive_pair(base, SynthSpec(build(seed + 60_000), sigma, seed=seed))
                 zeta_one = one_to_one_score(correlation_matrix(pair)).zeta_1to1
                 zeta_many = cca_fit(pair, regularization=0.0).zeta_cca
                 assert zeta_many >= zeta_one - 1e-6, (name, sigma, seed)
@@ -191,9 +186,7 @@ def test_criterion_09_monotone_noise():
         ones, manys = [], []
         for seed in range(20):
             base = random_embedding(2000, 20, seed=1000 + seed)
-            pair, _ = derive_pair(
-                base, SynthSpec(2000, 20, (), sigma, seed=2000 + seed)
-            )
+            pair = derive_pair(base, SynthSpec((), sigma, seed=2000 + seed))
             kappa = correlation_matrix(pair)
             ones.append(one_to_one_score(kappa).zeta_1to1)
             manys.append(cca_fit(pair, regularization=0.0).zeta_cca)
@@ -217,9 +210,7 @@ def test_criterion_09_monotone_noise():
                     rng.choice(300, size=4, replace=False) for _ in range(150)
                 )
             ]
-            pair, _ = derive_pair(
-                base, SynthSpec(300, 25, (), sigma, seed=5000 + seed)
-            )
+            pair = derive_pair(base, SynthSpec((), sigma, seed=5000 + seed))
             base_answers = [r.predicted for r in evaluate(base, questions).answers]
             noisy_answers = [
                 r.predicted for r in evaluate(pair.right, questions).answers

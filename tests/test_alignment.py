@@ -179,11 +179,9 @@ def test_self_comparison_scores_one():
 def test_permutation_recovery(seed):
     base = random_embedding(800, 12, seed=seed)
     perm = random_permutation(12, seed=seed + 50)
-    pair, truth = derive_pair(
-        base, SynthSpec(800, 12, (perm,), noise_sigma=0.0, seed=seed)
-    )
-    matching = one_to_one_score(correlation_matrix(pair))
-    assert matching.assignment.tolist() == truth.permutation.tolist()
+    spec = SynthSpec((perm,), noise_sigma=0.0, seed=seed)
+    matching = one_to_one_score(correlation_matrix(derive_pair(base, spec)))
+    assert matching.assignment.tolist() == spec.permutation.tolist()
     assert matching.zeta_1to1 == pytest.approx(1.0, abs=1e-9)
 
 
@@ -211,7 +209,7 @@ def test_abs_mode_recovers_sign_flips():
     base = random_embedding(600, 10, seed=42)
     flip = random_sign_mask(10, seed=43)
     assert flip.mask.any()
-    pair, _ = derive_pair(base, SynthSpec(600, 10, (flip,), 0.0, seed=44))
+    pair = derive_pair(base, SynthSpec((flip,), 0.0, seed=44))
     kappa = correlation_matrix(pair)
 
     signed = one_to_one_score(kappa)
@@ -232,9 +230,7 @@ def test_monotone_noise_degradation():
         zetas = []
         for seed in range(5):
             base = random_embedding(1500, 10, seed=700 + seed)
-            pair, _ = derive_pair(
-                base, SynthSpec(1500, 10, (), noise_sigma=sigma, seed=800 + seed)
-            )
+            pair = derive_pair(base, SynthSpec((), noise_sigma=sigma, seed=800 + seed))
             zetas.append(one_to_one_score(correlation_matrix(pair)).zeta_1to1)
         medians.append(np.median(zetas))
     assert medians[0] >= medians[1] >= medians[2]

@@ -2,8 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from embcompare import align_vocabularies, cca_fit, correlation_matrix, project
+from embcompare import (
+    AlignedPair,
+    EmbeddingMatrix,
+    align_vocabularies,
+    cca_fit,
+    correlation_matrix,
+    project,
+)
 from embcompare.alignment import one_to_one_score
 from embcompare.cca import CcaResult, NumericalError
 from embcompare.synthgen import (
@@ -11,6 +20,8 @@ from embcompare.synthgen import (
     derive_pair,
     random_embedding,
     random_invertible,
+    random_permutation,
+    random_sign_mask,
 )
 from helpers import make_embedding
 from oracles import reference_cca_correlations
@@ -32,7 +43,7 @@ def test_self_pair_all_correlations_one():
 def test_invertible_mixing_keeps_correlations_one(seed):
     base = random_embedding(1000, 15, seed=seed)
     mix = random_invertible(15, seed=seed + 30)
-    pair, _ = derive_pair(base, SynthSpec(1000, 15, (mix,), 0.0, seed=seed))
+    pair = derive_pair(base, SynthSpec((mix,), 0.0, seed=seed))
     result = cca_fit(pair)
     assert np.allclose(result.correlations, 1.0, atol=1e-6)
     assert result.zeta_cca == pytest.approx(1.0, abs=1e-6)
@@ -46,6 +57,43 @@ def test_matches_qr_reference_oracle(seed):
     result = cca_fit(pair, regularization=0.0)
     oracle = reference_cca_correlations(left.values, right.values)
     assert np.allclose(result.correlations, oracle, atol=1e-6)
+
+
+# Reordering rows changes only the order of the covariance sums (within and
+# across the 2048-row chunks), so both scores move by rounding alone: under
+# 1e-15 on pairs of up to 5000 x 12.
+REORDER_TOL = 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_rows=st.integers(200, 5000),
+    n_dims=st.integers(2, 12),
+    sigma=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**20),
+)
+def test_scores_invariant_under_shared_row_reordering(n_rows, n_dims, sigma, seed):
+    base = random_embedding(n_rows, n_dims, seed=seed)
+    spec = SynthSpec(
+        (random_permutation(n_dims, seed + 1), random_sign_mask(n_dims, seed + 2)),
+        sigma,
+        seed=seed + 3,
+    )
+    pair = derive_pair(base, spec)
+    order = np.random.default_rng(seed).permutation(n_rows)
+
+    def reordered(e):
+        return EmbeddingMatrix(tuple(e.vocab[i] for i in order), e.values[order], e.name)
+
+    shuffled = AlignedPair(left=reordered(pair.left), right=reordered(pair.right))
+    before = one_to_one_score(correlation_matrix(pair), use_abs=True)
+    after = one_to_one_score(correlation_matrix(shuffled), use_abs=True)
+    assert after.assignment.tolist() == before.assignment.tolist()
+    assert after.zeta_1to1 == pytest.approx(before.zeta_1to1, abs=REORDER_TOL)
+    assert after.zeta_abs_1to1 == pytest.approx(before.zeta_abs_1to1, abs=REORDER_TOL)
+    assert cca_fit(shuffled).zeta_cca == pytest.approx(
+        cca_fit(pair).zeta_cca, abs=REORDER_TOL
+    )
 
 
 def test_rectangular_pair_supported():
@@ -94,7 +142,7 @@ def test_leading_correlation_dominates_kappa():
 @pytest.mark.parametrize("sigma", [0.2, 1.0, 3.0])
 def test_cca_relaxes_one_to_one(sigma):
     base = random_embedding(1200, 12, seed=50)
-    pair, _ = derive_pair(base, SynthSpec(1200, 12, (), sigma, seed=51))
+    pair = derive_pair(base, SynthSpec((), sigma, seed=51))
     zeta_one = one_to_one_score(correlation_matrix(pair)).zeta_1to1
     result = cca_fit(pair, regularization=0.0)
     assert result.zeta_cca >= zeta_one - 1e-6
@@ -106,7 +154,6 @@ def test_result_validation():
             left_directions=np.eye(2),
             right_directions=np.eye(2),
             correlations=np.array([0.1, 0.9]),
-            zeta_cca=0.5,
             regularization_left=0.0,
             regularization_right=0.0,
         )
@@ -115,16 +162,6 @@ def test_result_validation():
             left_directions=np.eye(1),
             right_directions=np.eye(1),
             correlations=np.array([1.5]),
-            zeta_cca=1.5,
-            regularization_left=0.0,
-            regularization_right=0.0,
-        )
-    with pytest.raises(ValueError, match="not the mean"):
-        CcaResult(
-            left_directions=np.eye(2),
-            right_directions=np.eye(2),
-            correlations=np.array([1.0, 0.5]),
-            zeta_cca=0.75 + 1e-9,
             regularization_left=0.0,
             regularization_right=0.0,
         )

@@ -424,9 +424,11 @@ def test_analogy_empty_questions_errors(tmp_path, capsys):
     write_glove_text(emb, emb_path)
     q_path = tmp_path / "empty.txt"
     q_path.write_text("")
-    code, _, err = run(capsys, "analogy", emb_path, q_path)
-    assert code == 1
-    assert "no questions" in err
+    # the question file is checked first, so a missing embedding goes unread
+    for embedding in (emb_path, tmp_path / "missing.txt"):
+        code, _, err = run(capsys, "analogy", embedding, q_path)
+        assert code == 1
+        assert f"questions file {str(q_path)!r} has no questions" in err
 
 
 def test_analogy_invalid_utf8_questions_names_line(tmp_path, capsys):

@@ -53,13 +53,24 @@ def test_invalid_shapes_rejected():
         random_embedding(10, 0, seed=0)
     for sigma in (-0.5, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="finite number >= 0"):
-            SynthSpec(n_rows=10, n_dims=2, noise_sigma=sigma)
+            SynthSpec(noise_sigma=sigma)
 
 
-def test_spec_must_match_base():
-    base = random_embedding(50, 4, seed=0)
-    with pytest.raises(ValueError, match="base is"):
-        derive_pair(base, SynthSpec(n_rows=50, n_dims=5))
+def test_transform_width_must_match_base():
+    base = random_embedding(50, 5, seed=0)
+    narrow = (
+        Permutation(order=np.arange(3)),
+        SignFlip(mask=np.ones(3, dtype=bool)),
+        Linear(matrix=np.eye(3)),
+    )
+    for step in narrow:
+        kind = type(step).__name__
+        with pytest.raises(ValueError, match=rf"step 1 \({kind}\) is 3 wide but base has 5"):
+            derive_pair(base, SynthSpec((Permutation(order=np.arange(5)), step)))
+    with pytest.raises(ValueError, match=r"step 0 \(Linear\) is 7 wide but base has 5"):
+        derive_pair(base, SynthSpec((Linear(matrix=np.eye(7)),)))
+    with pytest.raises(ValueError, match=r"mask must be 1-D, got shape \(5, 5\)"):
+        SignFlip(mask=np.ones((5, 5), dtype=bool))
 
 
 def test_singular_mixing_matrix_rejected():
@@ -69,8 +80,9 @@ def test_singular_mixing_matrix_rejected():
 
 def test_identity_transform_closure():
     base = random_embedding(500, 6, seed=10)
-    pair, truth = derive_pair(base, SynthSpec(500, 6))
-    assert truth.noise_sigma == 0.0
+    spec = SynthSpec()
+    pair = derive_pair(base, spec)
+    assert spec.noise_sigma == 0.0
     assert one_to_one_score(correlation_matrix(pair)).zeta_1to1 == pytest.approx(
         1.0, abs=1e-9
     )
@@ -80,18 +92,20 @@ def test_identity_transform_closure():
 def test_permutation_closure():
     base = random_embedding(600, 9, seed=11)
     perm = random_permutation(9, seed=12)
-    pair, truth = derive_pair(base, SynthSpec(600, 9, (perm,)))
-    assert truth.permutation is not None
+    spec = SynthSpec((perm,))
+    pair = derive_pair(base, spec)
+    assert spec.permutation is not None
     matching = one_to_one_score(correlation_matrix(pair))
-    assert matching.assignment.tolist() == truth.permutation.tolist()
+    assert matching.assignment.tolist() == spec.permutation.tolist()
     assert matching.zeta_1to1 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sign_flip_closure_with_abs():
     base = random_embedding(600, 8, seed=13)
     flip = random_sign_mask(8, seed=14)
-    pair, truth = derive_pair(base, SynthSpec(600, 8, (flip,)))
-    assert truth.sign_mask is not None
+    spec = SynthSpec((flip,))
+    pair = derive_pair(base, spec)
+    assert spec.sign_mask is not None
     matching = one_to_one_score(correlation_matrix(pair), use_abs=True)
     assert matching.zeta_abs_1to1 == pytest.approx(1.0, abs=1e-9)
 
@@ -99,8 +113,9 @@ def test_sign_flip_closure_with_abs():
 def test_linear_closure():
     base = random_embedding(2000, 5, seed=15)
     mix = random_invertible(5, seed=16)
-    pair, truth = derive_pair(base, SynthSpec(2000, 5, (mix,)))
-    assert truth.mixing is not None
+    spec = SynthSpec((mix,))
+    pair = derive_pair(base, spec)
+    assert spec.mixing is not None
 
     result = cca_fit(pair, regularization=0.0)
     assert np.allclose(result.correlations, 1.0, atol=1e-6)
@@ -119,19 +134,20 @@ def test_composed_transforms_apply_in_order():
     base = random_embedding(300, 4, seed=17)
     perm = Permutation(order=np.array([1, 0, 3, 2]))
     flip = SignFlip(mask=np.array([True, False, False, False]))
-    pair, truth = derive_pair(base, SynthSpec(300, 4, (perm, flip)))
+    spec = SynthSpec((perm, flip))
+    pair = derive_pair(base, spec)
     expected = base.values[:, [1, 0, 3, 2]] * np.array([-1.0, 1.0, 1.0, 1.0])
     assert np.array_equal(pair.right.values, expected)
-    assert len(truth.steps) == 2
+    assert len(spec.to_json_dict()["steps"]) == 2
 
 
 def test_noise_stream_is_deterministic_and_separate():
     base = random_embedding(200, 5, seed=18)
-    pair_a, _ = derive_pair(base, SynthSpec(200, 5, (), 0.5, seed=99))
-    pair_b, _ = derive_pair(base, SynthSpec(200, 5, (), 0.5, seed=99))
+    pair_a = derive_pair(base, SynthSpec((), 0.5, seed=99))
+    pair_b = derive_pair(base, SynthSpec((), 0.5, seed=99))
     assert np.array_equal(pair_a.right.values, pair_b.right.values)
     # the noise must not replay the base draw even with the same seed
-    pair_c, _ = derive_pair(base, SynthSpec(200, 5, (), 0.5, seed=18))
+    pair_c = derive_pair(base, SynthSpec((), 0.5, seed=18))
     noise = pair_c.right.values - base.values
     assert not np.allclose(noise / 0.5, base.values)
 
@@ -142,17 +158,15 @@ def test_noise_ordering():
         zetas = []
         for seed in range(5):
             base = random_embedding(1000, 8, seed=300 + seed)
-            pair, _ = derive_pair(base, SynthSpec(1000, 8, (), sigma, seed=400 + seed))
+            pair = derive_pair(base, SynthSpec((), sigma, seed=400 + seed))
             zetas.append(cca_fit(pair).zeta_cca)
         medians.append(np.median(zetas))
     assert medians[0] >= medians[1]
 
 
 def test_ground_truth_json():
-    base = random_embedding(50, 3, seed=20)
     mix = random_invertible(3, seed=21)
-    _, truth = derive_pair(base, SynthSpec(50, 3, (mix,), 0.25, seed=22))
-    doc = json.loads(truth.to_json())
+    doc = json.loads(SynthSpec((mix,), 0.25, seed=22).to_json())
     assert doc["noise_sigma"] == 0.25
     assert doc["seed"] == 22
     assert doc["steps"][0]["kind"] == "linear"
@@ -161,7 +175,7 @@ def test_ground_truth_json():
 
 def test_pair_left_is_base():
     base = random_embedding(50, 3, seed=23)
-    pair, _ = derive_pair(base, SynthSpec(50, 3))
+    pair = derive_pair(base, SynthSpec())
     assert pair.left is base
     assert pair.shared_count == 50
 
