@@ -14,6 +14,7 @@ NaN or rounding noise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -26,6 +27,11 @@ DEFAULT_BINS = 60
 KDE_POINTS = 256
 
 _RANGE_TOL = 1e-12
+
+# exp(-z*z/2) is exactly 0.0 in float64 once |z| > 38.604, so kernel terms
+# beyond 39 bandwidths contribute nothing to a KDE sum
+_KDE_REACH = 39.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -144,9 +150,16 @@ def histogram(
 ) -> HistogramSummary:
     """Equal-width histogram over [min, max] with median and optional KDE.
 
-    The KDE uses a Gaussian kernel with Silverman bandwidth evaluated at
-    :data:`KDE_POINTS` evenly spaced points over the data range; it is
-    omitted for degenerate (zero variance) populations.
+    The KDE is a Gaussian kernel density with Silverman's bandwidth
+    ``h = std(values, ddof=1) * (3n/4) ** (-1/5)``, evaluated at
+    :data:`KDE_POINTS` evenly spaced points over [min, max] by
+    :func:`_gaussian_kde`, in numpy alone.
+
+    A population is degenerate when numpy cannot split [min, max] into
+    ``bins`` finite-sized bins: all values equal, or a range of a few ulps
+    such as ``[1 - 2**-53, 1]``.  It is binned over [min - 0.5, max + 0.5],
+    as numpy bins min == max, and gets no KDE; neither does a population
+    whose bandwidth is not a positive finite number.
     """
     vals = np.asarray(values, dtype=np.float64).ravel()
     if vals.size == 0:
@@ -156,19 +169,54 @@ def histogram(
     if not np.isfinite(vals).all():
         raise ValueError("population contains non-finite values")
     lo, hi = float(vals.min()), float(vals.max())
-    counts, edges = np.histogram(vals, bins=bins, range=(lo, hi))
+    edges = np.linspace(lo, hi, bins + 1)
+    degenerate = bool(np.any(edges[:-1] >= edges[1:]))  # numpy's own test
+    span = (lo - 0.5, hi + 0.5) if degenerate else (lo, hi)
+    counts, edges = np.histogram(vals, bins=bins, range=span)
     median = float(np.median(vals))
 
     kde_points = None
-    if with_kde and vals.size > 1 and lo < hi:
-        from scipy.stats import gaussian_kde  # scipy.stats is slow to import
-
+    if with_kde and not degenerate:
         xs = np.linspace(lo, hi, KDE_POINTS)
-        density = gaussian_kde(vals, bw_method="silverman")(xs)
-        kde_points = np.column_stack([xs, density])
-        kde_points.flags.writeable = False
+        density = _gaussian_kde(vals, xs)
+        if density is not None:
+            kde_points = np.column_stack([xs, density])
+            kde_points.flags.writeable = False
 
     return HistogramSummary(
         bin_edges=edges, counts=counts, median=median, kde_points=kde_points
     )
 
+
+def _gaussian_kde(vals: np.ndarray, xs: np.ndarray) -> np.ndarray | None:
+    """Gaussian kernel density of ``vals`` at ``xs``, Silverman bandwidth.
+
+    ``h = std(vals, ddof=1) * (3n/4) ** (-1/5)``, the bandwidth scipy's
+    ``gaussian_kde(bw_method="silverman")`` uses for 1-D data, and the
+    density at ``x`` is ``sum(exp(-((v - x) / h)**2 / 2)) / (n h sqrt(2 pi))``
+    (Silverman, *Density Estimation for Statistics and Data Analysis*, 1986).
+    Each sum runs over the sorted values within ``_KDE_REACH * h`` of ``x``:
+    the terms it leaves out are exactly 0.0 in float64, so the result is the
+    full sum.  Returns None when ``h`` is not a positive finite number.  A
+    positive ``h`` exceeds 1e-170 (the variance is at least the smallest
+    subnormal), so no density overflows.
+    """
+    n = vals.size
+    with np.errstate(over="ignore", invalid="ignore"):  # a spread beyond float64
+        h = float(np.std(vals, ddof=1)) * (0.75 * n) ** -0.2
+    if not 0.0 < h < math.inf:
+        return None
+    ordered = np.sort(vals)
+    reach = _KDE_REACH * h
+    starts = np.searchsorted(ordered, xs - reach, side="left")
+    stops = np.searchsorted(ordered, xs + reach, side="right")
+    sums = np.empty(xs.size)
+    buf = np.empty(int((stops - starts).max()))  # one scratch array, reused
+    for k, (x, a, b) in enumerate(zip(xs, starts, stops)):
+        z = buf[: b - a]
+        np.subtract(ordered[a:b], x, out=z)
+        z /= h
+        np.square(z, out=z)
+        z *= -0.5
+        sums[k] = np.exp(z, out=z).sum()
+    return sums / (n * h * _SQRT_2PI)

@@ -6,7 +6,8 @@ canonical correlations instead of covariance whitening, plain textbook
 formulas instead of vectorized kernels, and exact Fraction arithmetic on an
 explicit coincidence matrix for the agreement coefficient, a
 textbook line-at-a-time ``str.split`` + ``float()`` parse of text embeddings,
-and analogy answers scored one question at a time instead of in blocks.
+analogy answers scored one question at a time instead of in blocks, and
+scipy's ``gaussian_kde`` for the windowed numpy KDE.
 """
 from __future__ import annotations
 
@@ -90,6 +91,18 @@ def lexicographic_assignment_by_fixing(weights: np.ndarray) -> tuple[np.ndarray,
             if row not in used and best_with({**fixed, col: row}) == optimum
         )
     return np.array([fixed[c] for c in range(n)]), optimum
+
+
+def gaussian_kde_scipy(vals, xs) -> np.ndarray:
+    """scipy's ``gaussian_kde(bw_method="silverman")`` evaluated at ``xs``.
+
+    scipy takes the bandwidth from a weighted covariance and its Cholesky
+    factor, and sums the kernel over every value in compiled code; the
+    library sums a windowed numpy expression over sorted values.
+    """
+    from scipy.stats import gaussian_kde
+
+    return gaussian_kde(np.asarray(vals, dtype=np.float64), bw_method="silverman")(xs)
 
 
 def reference_cca_correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:

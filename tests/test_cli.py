@@ -243,6 +243,31 @@ def test_compare_plots_dir(synth_files, tmp_path, capsys):
     assert corrs == sorted(corrs, reverse=True)
 
 
+@pytest.mark.parametrize("transform", ["identity", "permutation"])
+def test_compare_plots_dir_on_noiseless_pair(tmp_path, capsys, transform):
+    # matched correlations of 1.0 and 1 - 7e-16 span too few ulps for 60 bins
+    left, right = tmp_path / "l.txt", tmp_path / "r.txt"
+    code, _, _ = run(
+        capsys, "synth", "--rows", "500", "--dims", "6", "--seed", "1",
+        "--transform", transform, "--sigma", "0",
+        "--out-left", left, "--out-right", right, "--truth", tmp_path / "t.json",
+    )
+    assert code == 0
+    plots = tmp_path / "plots"
+    code, _, err = run(
+        capsys, "compare", left, right, "--plots-dir", plots,
+        "--out", tmp_path / "r.json",
+    )
+    assert code == 0, err
+    assert {p.name for p in plots.iterdir()} == {
+        "hist_kappa.csv",
+        "hist_matched.csv",
+        "hist_cca.csv",
+        "matched_sorted.csv",
+        "cca_sorted.csv",
+    }
+
+
 def test_compare_abs_correlation_reports_both(synth_files, tmp_path, capsys):
     left, right = synth_files
     out = tmp_path / "abs.json"
@@ -523,16 +548,26 @@ def test_agreement_malformed_row_exits_one(tmp_path, capsys, row, problem):
     assert f"embcompare: error: {bad}: line 3: {problem}" in err
 
 
-def test_cli_import_does_not_load_scipy_stats():
+def test_cli_import_does_not_load_scipy_stats(synth_files, tmp_path):
     src = str(Path(embcompare.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, embcompare.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True,
-    ).stdout
-    assert out.strip() == "False"
+    left, right = synth_files
+    argv = [
+        "compare", str(left), str(right), "--kde",
+        "--plots-dir", str(tmp_path / "plots"), "--out", str(tmp_path / "r.json"),
+    ]
+    probes = [
+        "import sys, embcompare.cli",
+        f"import sys, embcompare.cli; assert embcompare.cli.main({argv!r}) == 0",
+    ]
+    for probe in probes:
+        out = subprocess.run(
+            [sys.executable, "-c", probe + "; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "False", probe
+    assert (tmp_path / "plots" / "hist_kappa_kde.csv").exists()
 
 
 def test_report_to_stdout_by_default(synth_files, capsys):

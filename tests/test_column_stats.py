@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from embcompare import (
     histogram,
     pearson,
 )
-from embcompare.column_stats import CorrelationMatrix
+from embcompare.column_stats import KDE_POINTS, CorrelationMatrix
 from embcompare.embedding_io import _COVARIANCE_CHUNK
 from embcompare.synthgen import random_embedding
 from helpers import make_embedding
-from oracles import correlation_matrix_naive, pearson_textbook
+from oracles import correlation_matrix_naive, gaussian_kde_scipy, pearson_textbook
 
 
 def _pair(left_values, right_values):
@@ -261,6 +262,60 @@ def test_histogram_kde_peak_near_zero():
 
 def test_histogram_kde_omitted_for_degenerate_population():
     assert histogram([1.0, 1.0], bins=2, with_kde=True).kde_points is None
+
+
+def test_histogram_range_too_narrow_for_bins_is_degenerate():
+    # two values an ulp apart: numpy cannot cut [lo, hi] into 60 finite bins
+    lo = np.nextafter(1.0, 0.0)
+    h = histogram([1.0, lo], bins=60, with_kde=True)
+    assert h.counts.sum() == 2
+    assert (h.bin_edges[0], h.bin_edges[-1]) == (lo - 0.5, 1.5)
+    assert h.kde_points is None
+
+
+@st.composite
+def _kde_population(draw):
+    """A population of one of the shapes the windowed KDE must handle."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["outliers", "uniform", "pair", "kappa"]))
+    if kind == "pair":
+        return rng.uniform(-1.0, 1.0, 2)
+    if kind == "uniform":  # every value lies in every window
+        return rng.uniform(-1.0, 1.0, draw(st.integers(3, 2000)))
+    if kind == "outliers":  # windows around the bulk leave the far values out
+        scale = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+        bulk = rng.normal(0.0, scale, draw(st.integers(50, 2000)))
+        return np.concatenate([bulk, rng.uniform(-1.0, 1.0, draw(st.integers(1, 5)))])
+    # kappa-like: a D x D correlation grid over n rows, D of them matched
+    d = draw(st.integers(3, 40))
+    rows = draw(st.integers(50, 5000))
+    bulk = rng.normal(0.0, rows**-0.5, d * d - d)
+    matched = rng.uniform(0.5, 1.0, d) * rng.choice([-1.0, 1.0], d)
+    return np.clip(np.concatenate([bulk, matched]), -1.0, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vals=_kde_population())
+def test_histogram_kde_matches_scipy_oracle(vals):
+    h = histogram(vals, with_kde=True)
+    xs = np.linspace(vals.min(), vals.max(), KDE_POINTS)
+    assert np.array_equal(h.kde_points[:, 0], xs)
+    ref = gaussian_kde_scipy(vals, xs)
+    assert np.abs(h.kde_points[:, 1] - ref).max() <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        [0.0, 1e-300, 2e-300],  # deviations square to 0: h underflows
+        [-1e200, 0.0, 1e200],  # deviations square to inf: h overflows
+    ],
+)
+def test_histogram_kde_omitted_when_bandwidth_is_not_finite_positive(vals):
+    h = histogram(vals, bins=60, with_kde=True)
+    assert h.counts.sum() == 3
+    assert h.kde_points is None
+    json.dumps(h.to_json_dict(), allow_nan=False)
 
 
 def test_histogram_errors():
