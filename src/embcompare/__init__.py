@@ -20,13 +20,12 @@ from .analogy_eval import (
     krippendorff_alpha,
     parse_analogy_file,
 )
-from .cca import CcaResult, NumericalError, cca_fit, project
+from .cca import CcaResult, NumericalError, cca_fit
 from .column_stats import (
     CorrelationMatrix,
     HistogramSummary,
     correlation_matrix,
     histogram,
-    pearson,
 )
 from .embedding_io import (
     AlignedPair,
@@ -79,8 +78,6 @@ __all__ = [
     "one_to_one_score",
     "parse_analogy_file",
     "parse_embedding",
-    "pearson",
-    "project",
     "random_embedding",
     "random_invertible",
     "random_permutation",

@@ -136,6 +136,15 @@ class AgreementResult:
     def n_agreements(self) -> int:
         return self.n_items - len(self.disagreeing)
 
+    def to_json_dict(self) -> dict:
+        return {
+            "alpha": self.alpha,
+            "n_items": self.n_items,
+            "n_excluded": self.n_excluded,
+            "n_agreements": self.n_agreements,
+            "degenerate": self.degenerate,
+        }
+
 
 def parse_analogy_file(
     source: str | Path | IO, lowercase: bool = False
@@ -333,9 +342,7 @@ class AgreementReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "alpha": self.agreement.alpha,
-            "n_items": self.agreement.n_items,
-            "n_excluded": self.agreement.n_excluded,
+            **self.agreement.to_json_dict(),
             "left": self.left.to_json_dict(),
             "right": self.right.to_json_dict(),
             "disagreements": list(self.disagreements),

@@ -39,15 +39,12 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class CcaResult:
-    """Canonical directions and correlations for one fitted pair.
+    """Canonical correlations for one fitted pair.
 
-    ``correlations`` is descending with every entry in [0, 1];
-    ``zeta_cca`` is its mean.  ``left_directions`` / ``right_directions``
-    have one column per kept canonical pair (``k`` columns).
+    ``correlations`` is descending with every entry in [0, 1], one per kept
+    canonical pair (``k`` of them); ``zeta_cca`` is its mean.
     """
 
-    left_directions: np.ndarray
-    right_directions: np.ndarray
     correlations: np.ndarray
     regularization_left: float
     regularization_right: float
@@ -60,12 +57,10 @@ class CcaResult:
             raise ValueError("correlations must be sorted descending")
         if corr.min() < 0.0 or corr.max() > 1.0 + 1e-9:
             raise ValueError("correlations outside [0, 1]")
-        for name in ("left_directions", "right_directions", "correlations"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.flags.writeable:
-                arr = arr.copy()
-                arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        if corr.flags.writeable:
+            corr = corr.copy()
+            corr.flags.writeable = False
+        object.__setattr__(self, "correlations", corr)
 
     @property
     def zeta_cca(self) -> float:
@@ -123,6 +118,17 @@ def _whitener(
     return eigvecs[:, keep] / np.sqrt(eigvals[keep]), dropped
 
 
+def check_regularization(regularization: float | None) -> None:
+    """Raise ValueError unless ``regularization`` is None (the automatic
+    ridge) or a finite number >= 0."""
+    if regularization is not None and not (
+        np.isfinite(regularization) and regularization >= 0
+    ):
+        raise ValueError(
+            f"regularization must be a finite number >= 0, got {regularization!r}"
+        )
+
+
 def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult:
     """Fit CCA on an aligned pair of embeddings.
 
@@ -142,12 +148,7 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
             "canonical correlations will be unreliable",
             stacklevel=2,
         )
-    if regularization is not None and not (
-        np.isfinite(regularization) and regularization >= 0
-    ):
-        raise ValueError(
-            f"regularization must be a finite number >= 0, got {regularization!r}"
-        )
+    check_regularization(regularization)
 
     cov = pair.covariance
     cov_xx, cov_yy, cov_xy = cov[:dx, :dx], cov[dx:, dx:], cov[:dx, dx:]
@@ -163,7 +164,7 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
 
     core = w_left.T @ cov_xy @ w_right
     try:
-        u, s, vt = np.linalg.svd(core, full_matrices=False)
+        s = np.linalg.svd(core, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of whitened cross-covariance failed: {exc}") from exc
     if s.size and s[0] > 1.0 + _UNIT_OVERSHOOT:
@@ -171,47 +172,9 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
             f"leading canonical correlation {s[0]!r} exceeds 1; "
             "whitening is broken"
         )
-    s = np.minimum(s, 1.0)
-
-    left_dirs = w_left @ u
-    right_dirs = w_right @ vt.T
-    # deterministic sign: anchor each pair on the left direction's
-    # largest-magnitude coefficient, flipping both sides together so the
-    # achieved correlation keeps its (non-negative) value
-    for i in range(s.size):
-        col = left_dirs[:, i]
-        if col[np.argmax(np.abs(col))] < 0:
-            left_dirs[:, i] = -col
-            right_dirs[:, i] = -right_dirs[:, i]
 
     return CcaResult(
-        left_directions=left_dirs,
-        right_directions=right_dirs,
-        correlations=s,
+        correlations=np.minimum(s, 1.0),
         regularization_left=ridge_left,
         regularization_right=ridge_right,
     )
-
-
-def project(result: CcaResult, pair: AlignedPair) -> tuple[np.ndarray, np.ndarray]:
-    """Project an aligned pair onto the canonical directions.
-
-    Returns the canonical variates ``(U, V)``; column ``i`` of each side
-    correlates at ``result.correlations[i]`` when projecting the fitted
-    pair (up to the ridge perturbation).
-    """
-    x = pair.left.values
-    y = pair.right.values
-    if x.shape[1] != result.left_directions.shape[0]:
-        raise ValueError(
-            f"left embedding has {x.shape[1]} dimensions, fit expects "
-            f"{result.left_directions.shape[0]}"
-        )
-    if y.shape[1] != result.right_directions.shape[0]:
-        raise ValueError(
-            f"right embedding has {y.shape[1]} dimensions, fit expects "
-            f"{result.right_directions.shape[0]}"
-        )
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    return xc @ result.left_directions, yc @ result.right_directions

@@ -32,8 +32,8 @@ from .analogy_eval import (
     read_answers_csv,
     write_answers_csv,
 )
-from .cca import NumericalError, cca_fit
-from .column_stats import DEFAULT_BINS, correlation_matrix, histogram
+from .cca import NumericalError, cca_fit, check_regularization
+from .column_stats import DEFAULT_BINS, check_bins, correlation_matrix, histogram
 from .embedding_io import align_vocabularies, parse_embedding, write_glove_text
 from .synthgen import (
     SynthSpec,
@@ -82,6 +82,9 @@ def _read_questions(args) -> list[AnalogyQuestion]:
 
 
 def cmd_compare(args) -> int:
+    # every input that needs no embedding is checked before one is parsed
+    check_bins(args.bins)
+    check_regularization(args.regularization)
     questions = _read_questions(args) if args.questions else None
     left = parse_embedding(args.left, format_hint=args.format)
     right = parse_embedding(args.right, format_hint=args.format)
@@ -251,11 +254,7 @@ def cmd_agreement(args) -> int:
             "answers_a": str(args.answers_a),
             "answers_b": str(args.answers_b),
         },
-        "alpha": result.alpha,
-        "n_items": result.n_items,
-        "n_excluded": result.n_excluded,
-        "n_agreements": result.n_agreements,
-        "degenerate": result.degenerate,
+        **result.to_json_dict(),
         "disagreements": disagreements,
     }
     _emit(doc, args.out)

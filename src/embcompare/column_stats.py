@@ -92,36 +92,14 @@ class HistogramSummary:
         write_csv_rows(dest, ["x", "density"], rows)
 
 
-def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
-    """Pearson correlation of two equal-length vectors, clamped to [-1, 1].
-
-    Returns 0.0 when either input is constant (max == min, the test
-    :func:`correlation_matrix` flags columns by) or its variance underflows
-    to 0: a constant column carries no information, and its inexact mean
-    would otherwise leave rounding noise.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 observations")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = np.sqrt(np.dot(dx, dx) / n)
-    sy = np.sqrt(np.dot(dy, dy) / n)
-    if sx == 0.0 or sy == 0.0 or x.max() == x.min() or y.max() == y.min():
-        return 0.0
-    r = (np.dot(dx, dy) / n) / (sx * sy)
-    return float(min(1.0, max(-1.0, r)))
-
-
 def correlation_matrix(pair: AlignedPair) -> CorrelationMatrix:
     """Pearson correlation between every left column and every right column.
 
-    Entry ``(i, j)`` equals ``pearson(left[:, i], right[:, j])``: the cross
-    block of ``pair.covariance`` scaled by both sides' standard deviations.
+    Entry ``(i, j)`` is the cross block of ``pair.covariance`` scaled by the
+    standard deviations of left column ``i`` and right column ``j``, clamped
+    to [-1, 1].  It is 0 when either column is constant (max == min) or its
+    variance underflows to 0: such a column carries no information, and its
+    inexact mean would otherwise leave rounding noise.
     """
     if pair.shared_count < 2:
         raise ValueError("need at least 2 shared words to correlate columns")
@@ -143,6 +121,12 @@ def correlation_matrix(pair: AlignedPair) -> CorrelationMatrix:
     )
 
 
+def check_bins(bins: int) -> None:
+    """Raise ValueError unless a histogram can have ``bins`` bins."""
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+
+
 def histogram(
     values: Sequence[float] | np.ndarray,
     bins: int = DEFAULT_BINS,
@@ -157,21 +141,26 @@ def histogram(
 
     A population is degenerate when numpy cannot split [min, max] into
     ``bins`` finite-sized bins: all values equal, or a range of a few ulps
-    such as ``[1 - 2**-53, 1]``.  It is binned over [min - 0.5, max + 0.5],
-    as numpy bins min == max, and gets no KDE; neither does a population
-    whose bandwidth is not a positive finite number.
+    such as ``[1 - 2**-53, 1]``.  It is binned over [min - pad, max + pad]
+    and gets no KDE; neither does a population whose bandwidth is not a
+    positive finite number.  ``pad`` is 0.5, as numpy pads min == max, or
+    ``bins`` ulps of the largest magnitude where that is more (magnitudes
+    above about ``2**51 / bins``), so that every edge is distinct.
     """
     vals = np.asarray(values, dtype=np.float64).ravel()
     if vals.size == 0:
         raise ValueError("cannot histogram an empty population")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    check_bins(bins)
     if not np.isfinite(vals).all():
         raise ValueError("population contains non-finite values")
     lo, hi = float(vals.min()), float(vals.max())
     edges = np.linspace(lo, hi, bins + 1)
     degenerate = bool(np.any(edges[:-1] >= edges[1:]))  # numpy's own test
-    span = (lo - 0.5, hi + 0.5) if degenerate else (lo, hi)
+    if degenerate:
+        pad = max(0.5, bins * float(np.spacing(max(-lo, hi))))
+        span = (lo - pad, hi + pad)
+    else:
+        span = (lo, hi)
     counts, edges = np.histogram(vals, bins=bins, range=span)
     median = float(np.median(vals))
 

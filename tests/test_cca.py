@@ -11,7 +11,6 @@ from embcompare import (
     align_vocabularies,
     cca_fit,
     correlation_matrix,
-    project,
 )
 from embcompare.alignment import one_to_one_score
 from embcompare.cca import CcaResult, NumericalError
@@ -102,8 +101,6 @@ def test_rectangular_pair_supported():
     right = make_embedding(rng.standard_normal((300, 5)), name="R")
     result = cca_fit(align_vocabularies(left, right))
     assert result.k == 5
-    assert result.left_directions.shape == (8, 5)
-    assert result.right_directions.shape == (5, 5)
     oracle = reference_cca_correlations(left.values, right.values)
     assert np.allclose(result.correlations, oracle, atol=1e-6)
 
@@ -151,61 +148,16 @@ def test_cca_relaxes_one_to_one(sigma):
 def test_result_validation():
     with pytest.raises(ValueError, match="descending"):
         CcaResult(
-            left_directions=np.eye(2),
-            right_directions=np.eye(2),
             correlations=np.array([0.1, 0.9]),
             regularization_left=0.0,
             regularization_right=0.0,
         )
     with pytest.raises(ValueError, match="outside"):
         CcaResult(
-            left_directions=np.eye(1),
-            right_directions=np.eye(1),
             correlations=np.array([1.5]),
             regularization_left=0.0,
             regularization_right=0.0,
         )
-
-
-def test_project_reproduces_fit_correlations():
-    left = random_embedding(900, 7, seed=60)
-    right = random_embedding(900, 7, seed=61)
-    pair = align_vocabularies(left, right)
-    result = cca_fit(pair, regularization=0.0)
-    u, v = project(result, pair)
-    for i in range(result.k):
-        achieved = np.corrcoef(u[:, i], v[:, i])[0, 1]
-        assert achieved == pytest.approx(result.correlations[i], abs=1e-6)
-
-
-def test_projected_variates_are_white():
-    left = random_embedding(700, 6, seed=62)
-    right = random_embedding(700, 6, seed=63)
-    pair = align_vocabularies(left, right)
-    result = cca_fit(pair, regularization=0.0)
-    u, _ = project(result, pair)
-    gram = (u.T @ u) / u.shape[0]  # population covariance of the variates
-    assert np.allclose(gram, np.eye(result.k), atol=1e-6)
-
-
-def test_projecting_self_pair_gives_matching_variates():
-    e = random_embedding(1000, 10, seed=64)
-    pair = _self_pair(e)
-    result = cca_fit(pair)
-    u, v = project(result, pair)
-    for i in range(result.k):
-        col_u, col_v = u[:, i], v[:, i]
-        same = np.allclose(col_u, col_v, atol=1e-5)
-        flipped = np.allclose(col_u, -col_v, atol=1e-5)
-        assert same or flipped
-
-
-def test_project_dimension_mismatch():
-    e = random_embedding(100, 5, seed=65)
-    other = random_embedding(100, 6, seed=66)
-    result = cca_fit(_self_pair(e))
-    with pytest.raises(ValueError, match="dimensions"):
-        project(result, _self_pair(other))
 
 
 def test_singular_covariance_at_zero_ridge_errors():

@@ -282,6 +282,26 @@ def test_compare_abs_correlation_reports_both(synth_files, tmp_path, capsys):
     assert block["zeta_abs_1to1"] >= block["zeta_1to1"] - 1e-12
 
 
+@pytest.mark.parametrize(
+    "option, value, problem",
+    [
+        ("--bins", "0", "bins must be >= 1"),
+        ("--regularization", "-1", "regularization must be a finite number >= 0"),
+        ("--regularization", "nan", "regularization must be a finite number >= 0"),
+    ],
+)
+def test_compare_checks_options_before_parsing(tmp_path, capsys, option, value, problem):
+    # the embedding files do not exist: an error naming them means they
+    # were opened before the option was checked
+    code, _, err = run(
+        capsys, "compare", tmp_path / "missing_l.txt", tmp_path / "missing_r.txt",
+        option, value,
+    )
+    assert code == 1
+    assert f"embcompare: error: {problem}" in err
+    assert "missing_l" not in err
+
+
 # the grid fixture's constant bias column is a degenerate dimension; CCA
 # legitimately warns that it drops the corresponding direction
 @pytest.mark.filterwarnings("ignore:dropping")
@@ -300,10 +320,37 @@ def test_compare_with_questions_adds_agreement(tmp_path, capsys):
     report = json.loads(out.read_text())
     agreement = report["analogy_agreement"]
     assert agreement["alpha"] == 1.0
+    assert agreement["n_agreements"] == len(questions)
+    assert agreement["degenerate"] is False
+    assert list(agreement)[:5] == [
+        "alpha", "n_items", "n_excluded", "n_agreements", "degenerate"
+    ]
     assert agreement["disagreements"] == []
     # the echoed scores are the ones computed by this very run
     assert agreement["scores"]["zeta_1to1"] == report["zeta"]["zeta_1to1"]
     assert agreement["scores"]["zeta_cca"] == report["zeta"]["zeta_cca"]
+
+
+@pytest.mark.filterwarnings("ignore:dropping")
+def test_compare_with_questions_reports_degenerate_alpha(tmp_path, capsys):
+    # both questions are answered "bb" by both runs: alpha is 1 by convention
+    emb, questions = grid_fixture()
+    same_label = [q for q in questions if q.d == "bb"]
+    assert len(same_label) == 2
+    emb_path = tmp_path / "emb.txt"
+    write_glove_text(emb, emb_path)
+    q_path = tmp_path / "questions.txt"
+    write_questions(q_path, same_label)
+    out = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "compare", emb_path, emb_path, "--no-timestamp",
+        "--questions", q_path, "--out", out,
+    )
+    assert code == 0
+    agreement = json.loads(out.read_text())["analogy_agreement"]
+    assert agreement["alpha"] == 1.0
+    assert agreement["degenerate"] is True
+    assert agreement["n_agreements"] == 2
 
 
 SWAPPED_DISAGREEMENTS = [
