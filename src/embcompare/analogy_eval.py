@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Sequence
@@ -35,6 +35,11 @@ SKIPPED = "SKIPPED"
 ANSWERED = "ANSWERED"
 
 _QUESTION_BLOCK = 128
+
+# answers-CSV columns; the first five identify a question, and a row's
+# question_index is its position
+ANSWER_COLUMNS = ("question_index", "a", "b", "c", "d", "predicted", "status")
+QUESTION_COLUMNS = ANSWER_COLUMNS[:5]
 
 
 class AnalogyParseError(ValueError):
@@ -55,15 +60,16 @@ class AnalogyQuestion:
         if not self.category:
             raise ValueError("question has no category")
 
-    @property
-    def section(self) -> str:
-        """``syntactic`` for ``gram*`` categories, ``semantic`` otherwise."""
-        return "syntactic" if self.category.startswith("gram") else "semantic"
+
+def section_of(category: str) -> str:
+    """``syntactic`` for ``gram*`` categories, ``semantic`` otherwise."""
+    return "syntactic" if category.startswith("gram") else "semantic"
 
 
 @dataclass(frozen=True)
 class AnswerRecord:
-    question_index: int
+    """The answer to one question; its index is its position in the answers."""
+
     predicted: str | None  # None when a, b or c is out of vocabulary
     correct: bool | None   # None when skipped or the gold answer is OOV
 
@@ -76,9 +82,9 @@ class AnswerRecord:
 class ScopeCounts:
     """Tallies for one category, one section, or the whole question set."""
 
-    total: int
-    answered: int
-    correct: int
+    total: int = 0
+    answered: int = 0
+    correct: int = 0
 
     @property
     def skipped(self) -> int:
@@ -93,6 +99,9 @@ class ScopeCounts:
     def accuracy_oov_wrong(self) -> float | None:
         """Correct over all questions, counting skipped ones as wrong."""
         return self.correct / self.total if self.total else None
+
+    def __add__(self, other: ScopeCounts) -> ScopeCounts:
+        return ScopeCounts(*(x + y for x, y in zip(astuple(self), astuple(other))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,9 +118,20 @@ class ScopeCounts:
 class EvaluationReport:
     embedding_name: str
     answers: tuple[AnswerRecord, ...]
-    per_category: dict[str, ScopeCounts]
-    per_section: dict[str, ScopeCounts]
-    total: ScopeCounts
+    per_category: dict[str, ScopeCounts]  # in order of first appearance
+
+    @property
+    def per_section(self) -> dict[str, ScopeCounts]:
+        """Category counts summed by section, in order of first appearance."""
+        sections: dict[str, ScopeCounts] = {}
+        for category, counts in self.per_category.items():
+            section = section_of(category)
+            sections[section] = sections.get(section, ScopeCounts()) + counts
+        return sections
+
+    @property
+    def total(self) -> ScopeCounts:
+        return sum(self.per_category.values(), ScopeCounts())
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,6 +155,15 @@ class AgreementResult:
     @property
     def n_agreements(self) -> int:
         return self.n_items - len(self.disagreeing)
+
+    def disagreements(
+        self, keys: Sequence[dict], left: Sequence, right: Sequence
+    ) -> list[dict]:
+        """Each disagreeing item's key, then both labels; all indexed by position."""
+        return [
+            {**keys[i], "predicted_left": left[i], "predicted_right": right[i]}
+            for i in self.disagreeing
+        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -215,11 +244,7 @@ def _predict(
 def answer_question(e: EmbeddingMatrix, q: AnalogyQuestion) -> AnswerRecord:
     """Answer a single question against a row-normalized embedding."""
     predicted = _predict(e, [q])[0]
-    return AnswerRecord(
-        question_index=0,
-        predicted=predicted,
-        correct=_correctness(e.index, q, predicted),
-    )
+    return AnswerRecord(predicted, _correctness(e.index, q, predicted))
 
 
 def _correctness(
@@ -232,31 +257,22 @@ def _correctness(
 
 def _tally(
     questions: Sequence[AnalogyQuestion], answers: Sequence[AnswerRecord]
-) -> tuple[dict[str, ScopeCounts], dict[str, ScopeCounts], ScopeCounts]:
-    def counts(indices: list[int]) -> ScopeCounts:
-        return ScopeCounts(
-            total=len(indices),
-            answered=sum(1 for i in indices if answers[i].predicted is not None),
-            correct=sum(1 for i in indices if answers[i].correct),
-        )
-
-    by_category: dict[str, list[int]] = {}
-    by_section: dict[str, list[int]] = {}
-    for i, q in enumerate(questions):
-        by_category.setdefault(q.category, []).append(i)
-        by_section.setdefault(q.section, []).append(i)
-    return (
-        {k: counts(v) for k, v in by_category.items()},
-        {k: counts(v) for k, v in by_section.items()},
-        counts(list(range(len(questions)))),
-    )
+) -> dict[str, ScopeCounts]:
+    """Total, answered and correct counts per category, in one pass."""
+    tallies: dict[str, list[int]] = {}
+    for q, r in zip(questions, answers):
+        tally = tallies.setdefault(q.category, [0, 0, 0])
+        tally[0] += 1
+        tally[1] += r.predicted is not None
+        tally[2] += bool(r.correct)
+    return {k: ScopeCounts(*tally) for k, tally in tallies.items()}
 
 
 def evaluate(
     e: EmbeddingMatrix,
     questions: Sequence[AnalogyQuestion],
 ) -> EvaluationReport:
-    """Answer every question and tally accuracy by category, section, total.
+    """Answer every question and tally accuracy by category.
 
     The embedding is row-normalized internally; accuracy denominators count
     answered (non-skipped) questions, with the skipped-counts-as-wrong
@@ -265,20 +281,13 @@ def evaluate(
     unit, _ = row_normalize(e)
     predictions = _predict(unit, questions)
     answers = tuple(
-        AnswerRecord(
-            question_index=i,
-            predicted=pred,
-            correct=_correctness(unit.index, q, pred),
-        )
-        for i, (q, pred) in enumerate(zip(questions, predictions))
+        AnswerRecord(predicted=pred, correct=_correctness(unit.index, q, pred))
+        for q, pred in zip(questions, predictions)
     )
-    per_category, per_section, total = _tally(questions, answers)
     return EvaluationReport(
         embedding_name=e.name,
         answers=answers,
-        per_category=per_category,
-        per_section=per_section,
-        total=total,
+        per_category=_tally(questions, answers),
     )
 
 
@@ -357,23 +366,15 @@ def agreement_report(
     """Evaluate both embeddings, compute alpha and list disagreements."""
     left = evaluate(e1, questions)
     right = evaluate(e2, questions)
-    agreement = krippendorff_alpha(
-        [r.predicted for r in left.answers],
-        [r.predicted for r in right.answers],
-    )
-    disagreements = tuple(
-        {
-            "question_index": i,
-            "a": questions[i].a,
-            "b": questions[i].b,
-            "c": questions[i].c,
-            "d": questions[i].d,
-            "category": questions[i].category,
-            "predicted_left": left.answers[i].predicted,
-            "predicted_right": right.answers[i].predicted,
-        }
-        for i in agreement.disagreeing
-    )
+    labels_left = [r.predicted for r in left.answers]
+    labels_right = [r.predicted for r in right.answers]
+    agreement = krippendorff_alpha(labels_left, labels_right)
+    keys = [
+        {"question_index": i, "a": q.a, "b": q.b, "c": q.c, "d": q.d,
+         "category": q.category}
+        for i, q in enumerate(questions)
+    ]
+    disagreements = tuple(agreement.disagreements(keys, labels_left, labels_right))
     return AgreementReport(
         left=left, right=right, agreement=agreement, disagreements=disagreements
     )
@@ -384,13 +385,12 @@ def write_answers_csv(
     answers: Sequence[AnswerRecord],
     dest: str | Path | IO,
 ) -> None:
-    """One row per question: question_index, a, b, c, d, predicted, status."""
-    header = ["question_index", "a", "b", "c", "d", "predicted", "status"]
+    """One row per question, with the columns ``ANSWER_COLUMNS``."""
     rows = (
-        [r.question_index, q.a, q.b, q.c, q.d, r.predicted or "", r.status]
-        for q, r in zip(questions, answers)
+        [i, q.a, q.b, q.c, q.d, r.predicted or "", r.status]
+        for i, (q, r) in enumerate(zip(questions, answers))
     )
-    write_csv_rows(dest, header, rows)
+    write_csv_rows(dest, ANSWER_COLUMNS, rows)
 
 
 def read_answers_csv(source: str | Path | IO) -> list[dict]:
@@ -404,11 +404,11 @@ def read_answers_csv(source: str | Path | IO) -> list[dict]:
     with opened(source, "r", newline="", encoding="utf-8") as fh:
         name = getattr(fh, "name", "answers CSV")
         reader = csv.DictReader(fh)
-        required = {"question_index", "a", "b", "c", "d", "predicted", "status"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        fields = reader.fieldnames
+        if fields is None or not set(ANSWER_COLUMNS).issubset(fields):
             raise ValueError(
-                f"answers CSV must have columns {sorted(required)}, "
-                f"got {reader.fieldnames}"
+                f"answers CSV must have columns {sorted(ANSWER_COLUMNS)}, "
+                f"got {fields}"
             )
         rows = []
         for row in reader:

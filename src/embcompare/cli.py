@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .alignment import one_to_one_score
 from .analogy_eval import (
+    QUESTION_COLUMNS,
     AnalogyQuestion,
     agreement_report,
     evaluate,
@@ -43,9 +44,6 @@ from .synthgen import (
     random_permutation,
     random_sign_mask,
 )
-
-# answers-CSV columns that identify a question; `agreement` pairs rows by position
-_QUESTION_COLUMNS = ("question_index", "a", "b", "c", "d")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,31 +221,21 @@ def cmd_agreement(args) -> int:
         raise ValueError(
             f"answer files differ in length: {len(rows_a)} vs {len(rows_b)}"
         )
-    for row, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
-        question_a = [ra[k] for k in _QUESTION_COLUMNS]
-        question_b = [rb[k] for k in _QUESTION_COLUMNS]
-        if question_a != question_b:
+    # the files pair rows by position, so both must ask the same questions
+    keys = [{k: r[k] for k in QUESTION_COLUMNS} for r in rows_a]
+    for row, (key, rb) in enumerate(zip(keys, rows_b), start=1):
+        key_b = {k: rb[k] for k in QUESTION_COLUMNS}
+        if key != key_b:
             raise ValueError(
                 f"answer files disagree on the question in row {row}: "
-                f"{' '.join(question_a)!r} vs {' '.join(question_b)!r}"
+                f"{' '.join(key.values())!r} vs {' '.join(key_b.values())!r}"
             )
+        key["question_index"] = int(key["question_index"])
     # read_answers_csv guarantees predicted is empty exactly on SKIPPED rows
-    result = krippendorff_alpha(
-        [r["predicted"] or None for r in rows_a],
-        [r["predicted"] or None for r in rows_b],
-    )
-    disagreements = []
-    for i in result.disagreeing:
-        ra, rb = rows_a[i], rows_b[i]
-        disagreements.append({
-            "question_index": int(ra["question_index"]),
-            "a": ra["a"],
-            "b": ra["b"],
-            "c": ra["c"],
-            "d": ra["d"],
-            "predicted_left": ra["predicted"],
-            "predicted_right": rb["predicted"],
-        })
+    labels_a = [r["predicted"] or None for r in rows_a]
+    labels_b = [r["predicted"] or None for r in rows_b]
+    result = krippendorff_alpha(labels_a, labels_b)
+    disagreements = result.disagreements(keys, labels_a, labels_b)
     doc = {
         "tool": _tool_block(),
         "config": {
@@ -395,10 +383,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except NumericalError as exc:
-        print(f"embcompare: numerical error: {exc}", file=sys.stderr)
-        return 2
-    except np.linalg.LinAlgError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"embcompare: numerical error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

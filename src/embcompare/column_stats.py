@@ -162,7 +162,7 @@ def histogram(
     else:
         span = (lo, hi)
     counts, edges = np.histogram(vals, bins=bins, range=span)
-    median = float(np.median(vals))
+    median = _median(vals)
 
     kde_points = None
     if with_kde and not degenerate:
@@ -175,6 +175,19 @@ def histogram(
     return HistogramSummary(
         bin_edges=edges, counts=counts, median=median, kde_points=kde_points
     )
+
+
+def _median(vals: np.ndarray) -> float:
+    """``np.median`` to the bit, without its overflow near the float64 maximum.
+
+    numpy takes the mean of the two middle values ``a <= b`` (of one value
+    for an odd size, where ``a`` is ``b`` here) as ``(0.0 + a + b) / 2``;
+    where that sum overflows, the median is ``a / 2 + b / 2``.
+    """
+    mid = [(vals.size - 1) // 2, vals.size // 2]
+    a, b = (float(v) for v in np.partition(vals, mid)[mid])
+    median = (0.0 + a + b) / 2
+    return median if math.isfinite(median) else a / 2 + b / 2
 
 
 def _gaussian_kde(vals: np.ndarray, xs: np.ndarray) -> np.ndarray | None:

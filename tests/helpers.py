@@ -89,6 +89,41 @@ def swapped_fixture() -> tuple[EmbeddingMatrix, EmbeddingMatrix, list[AnalogyQue
     )
 
 
+def pinned_fixture() -> tuple[EmbeddingMatrix, EmbeddingMatrix, list[AnalogyQuestion]]:
+    """Two grid embeddings and eight questions in four categories.
+
+    The categories alternate syntactic (``gram*``) and semantic, syntactic
+    first, and cover every answer kind: correct, wrong, skipped (``a`` out
+    of vocabulary) and not applicable (``d`` out of vocabulary).  Every
+    winner beats the runner-up by a cosine margin of at least 0.05.  The
+    second embedding swaps the vectors of ``bb`` and ``far2``, so it answers
+    ``far2`` wherever the first answers ``bb``.
+
+    Returns (first, second, questions).
+    """
+    first, _ = grid_fixture()
+    swapped = first.values.copy()
+    swapped[[3, 5]] = swapped[[5, 3]]
+    rows = [
+        ("gram1-grid", "aa ba ab bb"),
+        ("gram1-grid", "ab bb aa ba"),
+        ("capital-grid", "aa ab ba bb"),
+        ("capital-grid", "missing ba ab bb"),
+        ("gram2-grid", "ba aa bb ab"),
+        ("gram2-grid", "aa ba ab far1"),
+        ("family-grid", "aa ba ab nothere"),
+        ("family-grid", "ba bb aa ab"),
+    ]
+    questions = [
+        AnalogyQuestion(*words.split(), category=category) for category, words in rows
+    ]
+    return (
+        first,
+        make_embedding(swapped, first.vocab, name="grid-swapped"),
+        questions,
+    )
+
+
 ANSWERS_HEADER = "question_index,a,b,c,d,predicted,status\n"
 # (bad row, the problem read_answers_csv reports for it)
 MALFORMED_ANSWER_ROWS = [

@@ -21,6 +21,7 @@ from embcompare.analogy_eval import (
     AnalogyParseError,
     AnalogyQuestion,
     read_answers_csv,
+    section_of,
     write_answers_csv,
 )
 from helpers import (
@@ -41,14 +42,14 @@ def test_parse_semantic_category():
     assert len(qs) == 1
     assert qs[0].a == "athens" and qs[0].d == "iraq"
     assert qs[0].category == "capital-common-countries"
-    assert qs[0].section == "semantic"
+    assert section_of(qs[0].category) == "semantic"
 
 
 def test_parse_syntactic_category():
     qs = parse_analogy_file(
         io.StringIO(": gram1-adjective-to-adverb\namazing amazingly apparent apparently\n")
     )
-    assert qs[0].section == "syntactic"
+    assert section_of(qs[0].category) == "syntactic"
 
 
 def test_parse_three_token_line_errors():
@@ -298,6 +299,39 @@ def test_alpha_is_symmetric():
     a = ["X", "Y", "X", "Z", None]
     b = ["X", "Y", "Y", "Z", "X"]
     assert krippendorff_alpha(a, b).alpha == krippendorff_alpha(b, a).alpha
+
+
+_LABELS = ("A", "B", "C", "D")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_alpha_invariant_under_swap_renaming_and_shared_reordering(data):
+    label = st.sampled_from(_LABELS) | st.none()
+    pairs = data.draw(
+        st.lists(st.tuples(label, label), min_size=1, max_size=30).filter(
+            lambda ps: any(x is not None and y is not None for x, y in ps)
+        )
+    )
+    a, b = (list(side) for side in zip(*pairs))
+    result = krippendorff_alpha(a, b)
+
+    assert krippendorff_alpha(b, a) == result
+
+    renamed = dict(zip(_LABELS, data.draw(st.permutations(_LABELS))))
+    renamed[None] = None
+    relabelled = krippendorff_alpha([renamed[x] for x in a], [renamed[y] for y in b])
+    assert relabelled == result
+
+    # position i moves to position new_pos[i], in both runs at once
+    order = data.draw(st.permutations(range(len(a))))
+    new_pos = {i: j for j, i in enumerate(order)}
+    moved = krippendorff_alpha([a[i] for i in order], [b[i] for i in order])
+    assert moved.alpha == result.alpha
+    assert (moved.n_items, moved.n_excluded, moved.degenerate) == (
+        result.n_items, result.n_excluded, result.degenerate
+    )
+    assert moved.disagreeing == tuple(sorted(new_pos[i] for i in result.disagreeing))
 
 
 def test_alpha_flipping_an_agreement_lowers_alpha():

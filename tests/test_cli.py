@@ -16,9 +16,12 @@ from helpers import (
     MALFORMED_ANSWER_ROWS,
     grid_fixture,
     make_embedding,
+    pinned_fixture,
     swapped_fixture,
     write_questions,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -421,6 +424,29 @@ def test_agreement_lists_disagreements(tmp_path, capsys):
     for entry in doc["disagreements"]:
         assert list(entry) == [k for k in DISAGREEMENT_KEYS if k != "category"]
     assert doc["n_agreements"] == 0
+
+
+def test_analogy_outputs_match_pinned_bytes(tmp_path, monkeypatch, capsys):
+    # every byte, so the order and values of the total, section and category
+    # blocks cannot drift; the inputs are relative, as the outputs echo them
+    left, right, questions = pinned_fixture()
+    monkeypatch.chdir(tmp_path)
+    write_glove_text(left, "left.txt")
+    write_glove_text(right, "right.txt")
+    write_questions("questions.txt", questions)
+    for side in ("left", "right"):
+        code, _, _ = run(
+            capsys, "analogy", f"{side}.txt", "questions.txt",
+            "--answers-csv", f"answers_{side}.csv", "--out", f"analogy_{side}.json",
+        )
+        assert code == 0
+    code, _, _ = run(
+        capsys, "agreement", "answers_left.csv", "answers_right.csv",
+        "--out", "agreement.json",
+    )
+    assert code == 0
+    for name in ("analogy_left.json", "answers_left.csv", "agreement.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_compare_numerical_failure_exit_code(tmp_path, capsys):

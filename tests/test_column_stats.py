@@ -234,6 +234,27 @@ def test_histogram_large_constant_population(value, bins):
     assert h.kde_points is None
 
 
+@pytest.mark.parametrize("value", [1.7e308, -1.7e308])
+@pytest.mark.parametrize("size", [2, 3])
+def test_histogram_median_does_not_overflow(value, size):
+    # the two middle values sum past the float64 maximum; warnings are errors
+    assert histogram([value] * size).median == value
+
+
+# below 1e300 numpy's own median cannot overflow, so it is the reference
+@settings(max_examples=200, deadline=None)
+@given(
+    vals=st.lists(
+        st.floats(min_value=-1e300, max_value=1e300)
+        | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+        min_size=1,
+        max_size=50,
+    )
+)
+def test_histogram_median_is_numpy_median_to_the_bit(vals):
+    assert np.float64(histogram(vals).median).tobytes() == np.median(vals).tobytes()
+
+
 @st.composite
 def _kde_population(draw):
     """A population of one of the shapes the windowed KDE must handle."""
