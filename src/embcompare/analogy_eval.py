@@ -396,8 +396,9 @@ def write_answers_csv(
 def read_answers_csv(source: str | Path | IO) -> list[dict]:
     """Rows of an answers CSV as dicts of strings, validated row by row.
 
-    Every row must have exactly the header's fields, an integer
-    ``question_index``, a status of ANSWERED or SKIPPED, and a non-empty
+    Every row must have exactly the header's fields, a ``question_index``
+    equal to its 0-based position among the rows (so disagreements cite
+    each question once), a status of ANSWERED or SKIPPED, and a non-empty
     ``predicted`` exactly when the status is ANSWERED.  A row that breaks
     any of these raises ``ValueError`` naming the file and CSV line.
     """
@@ -411,24 +412,26 @@ def read_answers_csv(source: str | Path | IO) -> list[dict]:
                 f"got {fields}"
             )
         rows = []
-        for row in reader:
-            problem = _answer_row_problem(row)
+        for position, row in enumerate(reader):
+            problem = _answer_row_problem(row, position)
             if problem is not None:
                 raise ValueError(f"{name}: line {reader.line_num}: {problem}")
             rows.append(row)
         return rows
 
 
-def _answer_row_problem(row: dict) -> str | None:
-    """Why an answers-CSV row is malformed, or None when it is well formed."""
+def _answer_row_problem(row: dict, position: int) -> str | None:
+    """Why the answers-CSV row at 0-based ``position`` is malformed, or None."""
     if None in row:  # csv.DictReader files surplus fields under the key None
         return "row has more fields than the header"
     if None in row.values():  # and fills missing ones with None
         return "row has fewer fields than the header"
     try:
-        int(row["question_index"])
+        index = int(row["question_index"])
     except ValueError:
         return f"question_index {row['question_index']!r} is not an integer"
+    if index != position:
+        return f"question_index must be {position}, got {row['question_index']}"
     status, predicted = row["status"], row["predicted"]
     if status not in (ANSWERED, SKIPPED):
         return f"status {status!r} is not {ANSWERED} or {SKIPPED}"

@@ -35,7 +35,12 @@ from .analogy_eval import (
 )
 from .cca import NumericalError, cca_fit, check_regularization
 from .column_stats import DEFAULT_BINS, check_bins, correlation_matrix, histogram
-from .embedding_io import align_vocabularies, parse_embedding, write_glove_text
+from .embedding_io import (
+    _parse_pair,
+    align_vocabularies,
+    parse_embedding,
+    write_glove_text,
+)
 from .synthgen import (
     SynthSpec,
     derive_pair,
@@ -84,8 +89,7 @@ def cmd_compare(args) -> int:
     check_bins(args.bins)
     check_regularization(args.regularization)
     questions = _read_questions(args) if args.questions else None
-    left = parse_embedding(args.left, format_hint=args.format)
-    right = parse_embedding(args.right, format_hint=args.format)
+    left, right = _parse_pair(args.left, args.right, args.format)
     if left.n_dims != right.n_dims:
         raise ValueError(
             f"{args.left} has {left.n_dims} dimensions but {args.right} has "

@@ -146,6 +146,10 @@ def histogram(
     positive finite number.  ``pad`` is 0.5, as numpy pads min == max, or
     ``bins`` ulps of the largest magnitude where that is more (magnitudes
     above about ``2**51 / bins``), so that every edge is distinct.
+
+    Raises ``ValueError`` naming the range when ``max - min``, or a padded
+    end, overflows float64 (``[-1.7e308, 1.7e308]``, or a constant within
+    ``bins`` ulps of the float64 maximum).
     """
     vals = np.asarray(values, dtype=np.float64).ravel()
     if vals.size == 0:
@@ -154,11 +158,18 @@ def histogram(
     if not np.isfinite(vals).all():
         raise ValueError("population contains non-finite values")
     lo, hi = float(vals.min()), float(vals.max())
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"range [{lo!r}, {hi!r}] is wider than float64 can bin")
     edges = np.linspace(lo, hi, bins + 1)
     degenerate = bool(np.any(edges[:-1] >= edges[1:]))  # numpy's own test
     if degenerate:
-        pad = max(0.5, bins * float(np.spacing(max(-lo, hi))))
+        # math.ulp, not np.spacing, which overflows at the float64 maximum
+        pad = max(0.5, bins * math.ulp(max(-lo, hi)))
         span = (lo - pad, hi + pad)
+        if not (math.isfinite(span[0]) and math.isfinite(span[1])):
+            raise ValueError(
+                f"range [{lo!r}, {hi!r}] padded by {pad!r} overflows float64"
+            )
     else:
         span = (lo, hi)
     counts, edges = np.histogram(vals, bins=bins, range=span)

@@ -16,15 +16,21 @@ fails any check is re-read row by row, which either accepts it (tokens such
 as ``1_000`` that ``float()`` takes and the C reader does not) or raises the
 first error with its line number.  Memory is the matrix (in a buffer that
 doubles as it fills and is trimmed once) plus one block.
+
+``compare`` reads its two files at once (:func:`_parse_pair`): the left one
+in a forked child, which sends the matrix back down a pipe, and the right
+one in the parent.
 """
 from __future__ import annotations
 
 import csv
+import os
+import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, BinaryIO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -345,6 +351,77 @@ def parse_embedding(
     values.resize((len(seen), n_dims), refcheck=False)
     values.flags.writeable = False
     return EmbeddingMatrix(vocab=tuple(seen), values=values, name=name)
+
+
+def _parse_pair(
+    left: str | Path, right: str | Path, format_hint: str = "auto"
+) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
+    """``parse_embedding`` of both files, the left one in a forked child.
+
+    numpy's C reader holds the GIL, so a second thread would not help; a
+    forked child parses ``left`` on the second core while the parent parses
+    ``right``, and needs no fresh interpreter.  OpenBLAS's fork handler
+    stops its thread pool, so the process forks with one thread (Python
+    3.12 warns on a fork with more).  The child sends back either
+    the pickled exception or the pickled ``(vocab, name, shape)`` followed by
+    the raw values, which the parent reads into a new array.  The left
+    file's error wins when both files fail; a child that sends no result
+    raises :class:`ChildProcessError` naming ``left``.  Without ``os.fork``
+    the two parses run in order.
+    """
+    if not hasattr(os, "fork"):
+        return parse_embedding(left, format_hint), parse_embedding(right, format_hint)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)  # else a parent that stops reading never gives EPIPE
+        _parse_to_pipe(write_fd, left, format_hint)
+    os.close(write_fd)
+    try:
+        # closed on any exit, so a child blocked on write gets EPIPE and exits
+        with open(read_fd, "rb") as pipe:
+            try:
+                right_matrix = parse_embedding(right, format_hint)
+            except Exception:
+                _receive(pipe, left)  # raises the left file's error, if any
+                raise
+            return _receive(pipe, left), right_matrix
+    finally:
+        os.waitpid(pid, 0)
+
+
+def _parse_to_pipe(fd: int, source: str | Path, format_hint: str) -> NoReturn:
+    """The child's side of :func:`_parse_pair`; always ends in ``os._exit``."""
+    status = 1
+    try:
+        with open(fd, "wb") as pipe:
+            try:
+                e = parse_embedding(source, format_hint)
+            except Exception as exc:
+                pickle.dump(exc, pipe)
+            else:
+                pickle.dump((e.vocab, e.name, e.values.shape), pipe)
+                pipe.write(e.values.data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pipe: BinaryIO, source: str | Path) -> EmbeddingMatrix:
+    """Read one result of :func:`_parse_to_pipe`: a matrix, or raise its error."""
+    try:
+        head = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        head = None
+    if isinstance(head, Exception):
+        raise head
+    if head is not None:
+        vocab, name, shape = head
+        values = np.empty(shape)
+        if pipe.readinto(values.data) == values.nbytes:
+            values.flags.writeable = False
+            return EmbeddingMatrix(vocab=vocab, values=values, name=name)
+    raise ChildProcessError(f"{source}: the process parsing it ended without a result")
 
 
 def write_glove_text(e: EmbeddingMatrix, dest: str | Path | IO) -> None:

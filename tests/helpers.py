@@ -1,7 +1,10 @@
 """Shared fixture builders for the test suite."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 from embcompare import EmbeddingMatrix
 from embcompare.analogy_eval import AnalogyQuestion
@@ -12,6 +15,12 @@ def make_embedding(values, vocab=None, name="test") -> EmbeddingMatrix:
     if vocab is None:
         vocab = tuple(f"word{i:03d}" for i in range(values.shape[0]))
     return EmbeddingMatrix(vocab=tuple(vocab), values=values, name=name)
+
+
+def assert_no_child_left() -> None:
+    """Every child process this one started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def exclusion_fixture() -> tuple[EmbeddingMatrix, AnalogyQuestion, str]:

@@ -415,6 +415,24 @@ def test_answers_csv_rejects_malformed_rows(tmp_path, row, problem):
         read_answers_csv(path)
 
 
+@pytest.mark.parametrize(
+    "indices, line, problem",
+    [
+        ([5, 5, -3], 2, "question_index must be 0, got 5"),
+        ([0, 0, 1], 3, "question_index must be 1, got 0"),
+        ([0, 2, 1], 3, "question_index must be 1, got 2"),
+        ([0, 1, -2], 4, "question_index must be 2, got -2"),
+    ],
+)
+def test_answers_csv_question_index_is_the_row_position(tmp_path, indices, line, problem):
+    path = tmp_path / "answers.csv"
+    path.write_text(
+        ANSWERS_HEADER + "".join(f"{i},a,b,c,d,X,ANSWERED\n" for i in indices)
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: {problem}")):
+        read_answers_csv(path)
+
+
 def test_question_validation():
     with pytest.raises(ValueError, match="non-empty"):
         AnalogyQuestion(a="", b="b", c="c", d="d", category="x")

@@ -14,6 +14,7 @@ from embcompare.cli import main
 from helpers import (
     ANSWERS_HEADER,
     MALFORMED_ANSWER_ROWS,
+    assert_no_child_left,
     grid_fixture,
     make_embedding,
     pinned_fixture,
@@ -98,6 +99,7 @@ def test_compare_self_is_perfect(tmp_path, capsys):
     assert report["inputs"]["shared_vocabulary"] == 300
     assert report["zeta"]["zeta_cca"] >= report["zeta"]["zeta_1to1"] - 1e-6
     assert "zeta_1to1" in err
+    assert_no_child_left()  # the left file's parse child is reaped
 
 
 def test_compare_missing_file_names_path(tmp_path, capsys):
@@ -116,6 +118,64 @@ def test_compare_invalid_utf8_names_line(tmp_path, capsys):
     code, _, err = run(capsys, "compare", good, bad)
     assert code == 1
     assert "line 3: input is not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("bad", ["left", "right", "both"])
+@pytest.mark.parametrize("fault", ["malformed", "missing"])
+def test_compare_input_errors_keep_their_message(tmp_path, capsys, bad, fault):
+    # the two files are parsed at once; the error is the one a left-then-right
+    # parse raises first, and compare leaves no child process behind
+    good = tmp_path / "good.txt"
+    write_glove_text(make_embedding(np.eye(3)), good)
+    paths = {"left": good, "right": good}
+    for side in ("left", "right") if bad == "both" else (bad,):
+        paths[side] = tmp_path / f"{side}.txt"
+        if fault == "malformed":
+            paths[side].write_text(f"w0 1 2 3\nw1 1 2 3\n{side} 1 2\n")
+    first = paths["left"] if bad != "right" else paths["right"]
+    with pytest.raises((ValueError, OSError)) as serial:
+        parse_embedding(first)
+    code, out, err = run(capsys, "compare", paths["left"], paths["right"])
+    assert code == 1
+    assert out == ""
+    assert err == f"embcompare: error: {serial.value}\n"
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.exists("/proc/self/stat"),
+    reason="needs os.fork and /proc/self/stat",
+)
+def test_compare_forks_from_a_single_threaded_process(synth_files, tmp_path):
+    # Python 3.12 warns when os.fork() runs in a process with more than one
+    # OS thread (the count in /proc/self/stat).  BLAS's fork handler stops
+    # its pool, so the parent must be alone right after the fork; the count
+    # is read at that point, and every warning is an error.
+    probe = (
+        "import os, sys, embcompare.cli\n"
+        "fork, threads = os.fork, []\n"
+        "def counting_fork():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        with open('/proc/self/stat') as fh:\n"
+        "            threads.append(int(fh.read().rsplit(')', 1)[1].split()[17]))\n"
+        "    return pid\n"
+        "os.fork = counting_fork\n"
+        "code = embcompare.cli.main(sys.argv[1:])\n"
+        "print(threads)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(embcompare.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    left, right = synth_files
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", probe, "compare", str(left), str(right),
+         "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[1]"
 
 
 def test_compare_dimension_mismatch_fails_after_parsing(tmp_path, capsys, monkeypatch):
@@ -143,7 +203,7 @@ def test_compare_checks_questions_before_parsing(tmp_path, capsys, monkeypatch, 
     def no_parse(*args, **kwargs):
         raise AssertionError("embedding parsed before the question file was checked")
 
-    monkeypatch.setattr("embcompare.cli.parse_embedding", no_parse)
+    monkeypatch.setattr("embcompare.cli._parse_pair", no_parse)
     code, _, err = run(
         capsys, "compare", tmp_path / "left.txt", tmp_path / "right.txt",
         "--questions", q_path,
@@ -602,12 +662,20 @@ def test_agreement_length_mismatch_exits_one(tmp_path, capsys):
 def test_agreement_swapped_rows_exit_one(tmp_path, capsys):
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
-    _write_answers(path_a, [("X", "ANSWERED"), ("Y", "ANSWERED"), ("Z", "ANSWERED")])
-    header, first, second, third = path_a.read_text().splitlines(keepends=True)
-    path_b.write_text(header + first + third + second)
+    first, second, third = (
+        "0,a,b,c,d,X,ANSWERED\n", "1,e,f,g,h,Y,ANSWERED\n", "2,i,j,k,l,Z,ANSWERED\n"
+    )
+    path_a.write_text(ANSWERS_HEADER + first + second + third)
+    # swapped with their indices, the rows are out of position
+    path_b.write_text(ANSWERS_HEADER + first + third + second)
     code, _, err = run(capsys, "agreement", path_a, path_b)
     assert code == 1
-    assert "row 2" in err
+    assert f"{path_b}: line 3: question_index must be 1, got 2" in err
+    # renumbered, they ask the two files different questions in one row
+    path_b.write_text(ANSWERS_HEADER + first + "1" + third[1:] + "2" + second[1:])
+    code, _, err = run(capsys, "agreement", path_a, path_b)
+    assert code == 1
+    assert "answer files disagree on the question in row 2" in err
 
 
 @pytest.mark.parametrize("row, problem", MALFORMED_ANSWER_ROWS)

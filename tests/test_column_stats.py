@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,37 @@ def test_histogram_large_constant_population(value, bins):
 def test_histogram_median_does_not_overflow(value, size):
     # the two middle values sum past the float64 maximum; warnings are errors
     assert histogram([value] * size).median == value
+
+
+FLOAT64_MAX = float(np.finfo(np.float64).max)
+
+
+@pytest.mark.parametrize(
+    "vals, problem",
+    [
+        ([-1.7e308, 1.7e308], "range [-1.7e+308, 1.7e+308] is wider than float64 can bin"),
+        ([FLOAT64_MAX] * 2, f"range [{FLOAT64_MAX!r}, {FLOAT64_MAX!r}] padded by"),
+        ([-FLOAT64_MAX] * 3, f"range [{-FLOAT64_MAX!r}, {-FLOAT64_MAX!r}] padded by"),
+    ],
+)
+def test_histogram_rejects_a_range_that_overflows(vals, problem):
+    # numpy's overflow warnings are errors here, so none may come first
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        histogram(vals)
+
+
+@pytest.mark.parametrize("bins", [1, 60])
+def test_histogram_edges_near_the_float64_limit_keep_numpy_bits(bins):
+    wide = np.array([-8e307, 0.0, 8e307])
+    assert histogram(wide, bins=bins).bin_edges.tobytes() == np.histogram(
+        wide, bins=bins
+    )[1].tobytes()
+    # a constant population is padded by bins ulps, as np.spacing gives them
+    value = 1.7e308
+    pad = bins * float(np.spacing(value))
+    assert histogram([value] * 2, bins=bins).bin_edges.tobytes() == np.histogram(
+        [value] * 2, bins=bins, range=(value - pad, value + pad)
+    )[1].tobytes()
 
 
 # below 1e300 numpy's own median cannot overflow, so it is the reference

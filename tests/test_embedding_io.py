@@ -1,4 +1,8 @@
 import io
+import os
+import pickle
+import re
+import signal
 from unittest import mock
 
 import numpy as np
@@ -16,7 +20,7 @@ from embcompare import (
     write_glove_text,
 )
 from embcompare.embedding_io import opened
-from helpers import make_embedding
+from helpers import assert_no_child_left, make_embedding
 from oracles import parse_embedding_rowwise
 
 
@@ -464,3 +468,124 @@ def test_matrix_validation_rejects_bad_input():
         EmbeddingMatrix(vocab=(), values=np.zeros((0, 1)))
     with pytest.raises(ValueError, match="2-D"):
         EmbeddingMatrix(vocab=("a",), values=np.zeros(3))
+
+
+# ------------------------------------------------- _parse_pair (compare's reader)
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture
+def pair_files(tmp_path):
+    left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+    rng = np.random.default_rng(5)
+    write_glove_text(make_embedding(rng.standard_normal((3000, 40))), left)
+    # word2vec_text with a header, and a bit pattern the text round trip keeps
+    values = rng.standard_normal((2500, 40))
+    right.write_text(
+        "2500 40\n"
+        + "".join(f"w{i:06d} " + " ".join(map(repr, row)) + "\n"
+                  for i, row in enumerate(values.tolist()))
+    )
+    return left, right
+
+
+@pytest.fixture
+def no_hang():
+    """Fail a test that blocks for more than a minute instead of hanging."""
+    def timeout(signum, frame):
+        raise TimeoutError("blocked for a minute")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@needs_fork
+def test_parse_pair_is_bit_identical_to_serial_parses(pair_files, no_hang):
+    left, right = pair_files
+    got = embedding_io._parse_pair(left, right)
+    assert_no_child_left()
+    for matrix, path in zip(got, pair_files):
+        expected = parse_embedding(path)
+        assert matrix.vocab == expected.vocab
+        assert matrix.name == expected.name
+        assert matrix.values.shape == expected.values.shape
+        assert matrix.values.tobytes() == expected.values.tobytes()
+        assert not matrix.values.flags.writeable
+
+
+def test_parse_pair_without_fork_parses_in_order(pair_files, monkeypatch):
+    left, right = pair_files
+    if hasattr(os, "fork"):
+        monkeypatch.delattr(os, "fork")
+    calls = []
+    real = parse_embedding
+
+    def recording(source, format_hint="auto"):
+        calls.append(source)
+        return real(source, format_hint)
+
+    monkeypatch.setattr(embedding_io, "parse_embedding", recording)
+    got = embedding_io._parse_pair(left, right)
+    assert calls == [left, right]
+    assert [m.values.tobytes() for m in got] == [
+        real(p).values.tobytes() for p in (left, right)
+    ]
+
+
+@needs_fork
+def test_parse_pair_child_that_sends_nothing_fails_cleanly(pair_files, monkeypatch, no_hang):
+    left, right = pair_files
+    real = parse_embedding
+
+    def dies_on_left(source, format_hint="auto"):
+        if source == left:
+            os._exit(3)
+        return real(source, format_hint)
+
+    monkeypatch.setattr(embedding_io, "parse_embedding", dies_on_left)
+    with pytest.raises(ChildProcessError, match=re.escape(f"{left}: ")):
+        embedding_io._parse_pair(left, right)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_parse_pair_child_cut_off_mid_matrix_fails_cleanly(pair_files, monkeypatch, no_hang):
+    # the header arrives but the values stop short: no hang, no partial matrix
+    left, right = pair_files
+    real_dump = pickle.dump
+
+    def dump_then_die(obj, pipe):
+        real_dump(obj, pipe)
+        if isinstance(obj, tuple):
+            pipe.write(b"\0" * 100)
+            pipe.flush()
+            os._exit(0)
+
+    monkeypatch.setattr(embedding_io.pickle, "dump", dump_then_die)
+    with pytest.raises(ChildProcessError, match=re.escape(f"{left}: ")):
+        embedding_io._parse_pair(left, right)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_parse_pair_interrupted_parent_does_not_wait_on_a_blocked_child(
+    pair_files, monkeypatch, no_hang
+):
+    # the left matrix (960 KB) overfills the pipe, so the child blocks on
+    # write until the parent's read end closes and the write fails
+    left, right = pair_files
+    real = parse_embedding
+
+    def interrupted_on_right(source, format_hint="auto"):
+        if source == right:
+            raise KeyboardInterrupt
+        return real(source, format_hint)
+
+    monkeypatch.setattr(embedding_io, "parse_embedding", interrupted_on_right)
+    with pytest.raises(KeyboardInterrupt):
+        embedding_io._parse_pair(left, right)
+    assert_no_child_left()
