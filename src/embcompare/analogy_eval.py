@@ -6,13 +6,23 @@ c is to ?" with gold answer ``d``.  Answers are selected by the additive
 vector-offset rule: the vocabulary word (excluding a, b and c) whose vector
 has the highest cosine similarity to ``vec(b) - vec(a) + vec(c)``.
 
-Questions are scored in blocks of a fixed 128 (``_QUESTION_BLOCK``): one
-matrix product per block, threaded by BLAS itself.  The block size is a
-constant rather than a function of the CPU count, so every machine splits
-the questions the same way; 128 columns keep the product gemm-sized while
-the float64 V x 128 score block stays at 51 MB for V=50k.  Near-ties
-within a few ulps can still depend on the BLAS kernel and its thread
-count.
+On unit rows the 3CosAdd score of a vocabulary row ``v`` is a sum of three
+cosines, ``v.b - v.a + v.c`` (Levy & Goldberg, CoNLL 2014), and question sets
+reuse a few hundred words across thousands of questions.  So the questions
+are walked in file order, in chunks of at most ``_WORD_CHUNK`` (1024)
+distinct a/b/c words, and each chunk meets the vocabulary in tiles of
+``_VOCAB_TILE`` (2048) rows: one matrix product gives the chunk words'
+cosines to the tile, then each block of ``_QUESTION_ROWS`` (32) questions
+sums its three rows of cosines (b minus a, plus c, in that order), drops a,
+b and c, and takes a row-wise argmax.  A running best per question is merged
+across tiles with a strict ``>``, so ties go to the lowest vocabulary index.
+Scoring memory is at most ``_WORD_CHUNK x _VOCAB_TILE`` float64 cosines
+(16 MB), a 512 KB score block and the chunk words' rows, whatever the
+vocabulary and question counts.  The constants do not depend on the CPU count, and BLAS threads the
+products itself.  Scores can differ in the last bits from the
+``v.(b - a + c)`` form, so answers whose top two candidates lie within a
+few ulps may differ from it; such near-ties already depend on the BLAS
+kernel and its thread count.
 
 Agreement between two runs is quantified with Krippendorff's alpha for
 nominal labels over two raters.
@@ -24,7 +34,7 @@ from collections import Counter
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +44,10 @@ from .embedding_io import write_csv_rows
 SKIPPED = "SKIPPED"
 ANSWERED = "ANSWERED"
 
-_QUESTION_BLOCK = 128
+# scoring geometry (see the module docstring)
+_VOCAB_TILE = 2048
+_WORD_CHUNK = 1024
+_QUESTION_ROWS = 32
 
 # answers-CSV columns; the first five identify a question, and a row's
 # question_index is its position
@@ -210,35 +223,72 @@ def _predict(
     e: EmbeddingMatrix,
     questions: Sequence[AnalogyQuestion],
 ) -> list[str | None]:
-    """Predicted word per question (None where a, b or c is OOV)."""
+    """Predicted word per question (None where a, b or c is OOV, or where
+    they cover the whole vocabulary)."""
     index = e.index
-    values = e.values
     predictions: list[str | None] = [None] * len(questions)
-
-    askable: list[tuple[int, int, int, int]] = []
+    askable: list[int] = []
+    triples: list[tuple[int, int, int]] = []
     for qi, q in enumerate(questions):
-        ia, ib, ic = index.get(q.a), index.get(q.b), index.get(q.c)
-        if ia is None or ib is None or ic is None:
-            continue
-        askable.append((qi, ia, ib, ic))
+        ids = index.get(q.a), index.get(q.b), index.get(q.c)
+        if None not in ids:
+            askable.append(qi)
+            triples.append(ids)
+    if not triples:
+        return predictions
 
-    for start in range(0, len(askable), _QUESTION_BLOCK):
-        qi, ia, ib, ic = np.array(
-            askable[start : start + _QUESTION_BLOCK], dtype=np.intp
-        ).T
-        targets = values[ib] - values[ia] + values[ic]
-        scores = values @ targets.T
-        cols = np.arange(len(qi))
-        scores[ia, cols] = -np.inf
-        scores[ib, cols] = -np.inf
-        scores[ic, cols] = -np.inf
-        best = np.argmax(scores, axis=0)  # ties: lowest vocabulary index
-        # a tiny vocabulary can leave no candidate at all once the three
-        # query words are excluded; those questions stay unanswered
-        answered = ~np.isneginf(scores[best, cols])
-        for q, row in zip(qi[answered].tolist(), best[answered].tolist()):
-            predictions[q] = e.vocab[row]
+    abc = np.array(triples, dtype=np.intp)
+    best = np.empty(len(abc), dtype=np.intp)
+    for start, stop in _word_chunks(triples, _WORD_CHUNK):
+        best[start:stop] = _best_rows(e.values, abc[start:stop])
+    for qi, row in zip(askable, best.tolist()):
+        if row >= 0:
+            predictions[qi] = e.vocab[row]
     return predictions
+
+
+def _word_chunks(
+    triples: Sequence[tuple[int, int, int]], limit: int
+) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` of consecutive runs of questions with at most
+    ``limit`` distinct words each."""
+    start, words = 0, set()
+    for i, abc in enumerate(triples):
+        if len(words) + len(set(abc) - words) > limit:
+            yield start, i
+            start, words = i, set()
+        words.update(abc)
+    yield start, len(triples)
+
+
+def _best_rows(values: np.ndarray, abc: np.ndarray) -> np.ndarray:
+    """The best-scoring vocabulary row per ``(a, b, c)`` row of ``abc``, or -1
+    where no row is left once a, b and c are excluded."""
+    words, inverse = np.unique(abc, return_inverse=True)
+    ja, jb, jc = inverse.reshape(abc.shape).T
+    query = values[words]
+    best_score = np.full(len(abc), -np.inf)
+    best_row = np.full(len(abc), -1, dtype=np.intp)
+    for t0 in range(0, len(values), _VOCAB_TILE):
+        tile = values[t0 : t0 + _VOCAB_TILE]
+        cosines = query @ tile.T
+        for q0 in range(0, len(abc), _QUESTION_ROWS):
+            block = slice(q0, q0 + _QUESTION_ROWS)
+            score = cosines[jb[block]]
+            score -= cosines[ja[block]]
+            score += cosines[jc[block]]
+            cols = abc[block] - t0
+            r, k = np.nonzero((cols >= 0) & (cols < len(tile)))
+            score[r, cols[r, k]] = -np.inf
+            top = score.argmax(axis=1)  # ties: lowest index in the tile
+            top_score = score[np.arange(len(top)), top]
+            # strict: a tie with an earlier tile keeps the lower index, and
+            # a tile with no candidate left (all -inf) changes nothing;
+            # [block] is a view, so the masked writes land in place
+            better = top_score > best_score[block]
+            best_score[block][better] = top_score[better]
+            best_row[block][better] = top[better] + t0
+    return best_row
 
 
 def answer_question(e: EmbeddingMatrix, q: AnalogyQuestion) -> AnswerRecord:

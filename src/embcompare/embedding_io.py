@@ -309,13 +309,24 @@ def parse_embedding(
     ``format_hint`` is one of ``auto``, ``word2vec_text`` or ``glove_text``.
     In ``auto`` mode the file is treated as word2vec_text exactly when its
     first line parses as two positive integers.  Duplicate words, ragged
-    rows, non-finite values and empty files are all hard errors.
+    rows, non-finite values and empty files are all hard errors; a
+    :class:`ParseError` from a path starts with that path.
     """
     if format_hint not in ("auto", "word2vec_text", "glove_text"):
         raise ValueError(f"unknown format_hint {format_hint!r}")
+    is_path = isinstance(source, (str, Path))
     if name is None:
-        name = Path(source).stem if isinstance(source, (str, Path)) else "embedding"
+        name = Path(source).stem if is_path else "embedding"
+    try:
+        return _parse(source, format_hint, name)
+    except ParseError as exc:
+        if not is_path:
+            raise
+        raise ParseError(f"{source}: {exc}") from None
 
+
+def _parse(source: str | Path | IO, format_hint: str, name: str) -> EmbeddingMatrix:
+    """:func:`parse_embedding` itself; its errors name lines, not the file."""
     # Rows go straight into one buffer that doubles when full.  It starts
     # empty and the header never sizes it (the header is outside input).
     values = np.empty(0)

@@ -2,13 +2,16 @@ import csv
 import io
 import itertools
 import re
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from embcompare import analogy_eval
 from embcompare import (
     agreement_report,
     answer_question,
@@ -200,11 +203,32 @@ def test_evaluate_mixed_counts():
     assert total.answered + total.skipped == total.total
 
 
-# question counts that straddle the fixed 128-question scoring block
-@settings(max_examples=40, deadline=None)
+@contextmanager
+def small_tiles(tile=4, chunk=6, rows=3):
+    """A scoring geometry small enough that toy inputs span several vocabulary
+    tiles, word chunks and question blocks."""
+    with mock.patch.multiple(
+        analogy_eval, _VOCAB_TILE=tile, _WORD_CHUNK=chunk, _QUESTION_ROWS=rows
+    ):
+        yield
+
+
+def random_questions(rng, emb, n_questions):
+    """Questions over ``emb``'s words, about one word in five out of vocabulary."""
+    pool = list(emb.vocab) + [f"oov{i}" for i in range(max(1, emb.n_words // 4))]
+    return [
+        AnalogyQuestion(*rng.choice(pool, 4).tolist(), category="mixed")
+        for _ in range(n_questions)
+    ]
+
+
+# with 4-row tiles, 6-word chunks and 3-question blocks: vocabularies one
+# below, at and one above a tile (and a few tiles long), and question counts
+# around a block
+@settings(max_examples=60, deadline=None)
 @given(
-    n_questions=st.sampled_from([1, 127, 128, 129, 2 * 128 + 1]),
-    n_words=st.integers(3, 30),
+    n_questions=st.sampled_from([1, 2, 3, 4, 7, 40]),
+    n_words=st.one_of(st.sampled_from([3, 4, 5, 7, 8, 9]), st.integers(10, 30)),
     n_dims=st.integers(2, 5),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -213,24 +237,91 @@ def test_evaluate_matches_bruteforce_oracle_across_blocks(
 ):
     rng = np.random.default_rng(seed)
     emb = make_embedding(rng.standard_normal((n_words, n_dims)))
-    # about one word in five is out of vocabulary, so some questions are skipped
-    pool = list(emb.vocab) + [f"oov{i}" for i in range(max(1, n_words // 4))]
-    questions = [
-        AnalogyQuestion(*rng.choice(pool, 4).tolist(), category="mixed")
-        for _ in range(n_questions)
-    ]
-    assert_matches_oracle(emb, questions)
+    with small_tiles():
+        assert_matches_oracle(emb, random_questions(rng, emb, n_questions))
 
 
 @pytest.mark.parametrize("n_words", [3, 4])
 def test_evaluate_matches_oracle_when_no_candidate_is_left(n_words):
     rng = np.random.default_rng(n_words)
     emb = make_embedding(rng.standard_normal((n_words, 2)))
-    triples = list(itertools.product(emb.vocab, repeat=3)) * 10  # > 2 blocks
+    triples = list(itertools.product(emb.vocab, repeat=3)) * 10
     questions = [AnalogyQuestion(a, b, c, "word000", "tiny") for a, b, c in triples]
-    predicted = assert_matches_oracle(emb, questions)
+    with small_tiles():
+        predicted = assert_matches_oracle(emb, questions)
     # a question is unanswerable exactly when a, b and c cover the vocabulary
     assert [p is None for p in predicted] == [len(set(t)) == n_words for t in triples]
+
+
+def offset_embedding(n_words, answer_rows, query_rows=(8, 9, 2)):
+    """Rows where ``b - a + c`` for the question on ``query_rows`` points
+    exactly at each of ``answer_rows``; every other row scores lower."""
+    values = np.zeros((n_words, 4))
+    values[:, 3] = np.random.default_rng(n_words).uniform(0.1, 1.0, n_words)
+    ia, ib, ic = query_rows
+    values[[ia, ib, ic]] = np.eye(4)[:3]
+    values[list(answer_rows)] = [-1.0, 1.0, 1.0, 0.0]
+    emb = make_embedding(values)
+    a, b, c = (emb.vocab[i] for i in query_rows)
+    return emb, [AnalogyQuestion(a, b, c, "x", "t"), AnalogyQuestion(a, c, b, "x", "t")]
+
+
+def test_duplicate_rows_in_two_tiles_go_to_the_lower_index():
+    emb, questions = offset_embedding(10, answer_rows=(1, 6))  # tiles 0 and 1
+    with small_tiles():
+        predicted = [r.predicted for r in evaluate(emb, questions).answers]
+    assert predicted == [emb.vocab[1]] * 2
+
+
+def test_best_answer_in_the_last_partial_tile():
+    emb, questions = offset_embedding(10, answer_rows=(9,), query_rows=(0, 5, 2))
+    with small_tiles():  # tiles of rows 0-3, 4-7 and 8-9
+        predicted = assert_matches_oracle(emb, questions)
+    assert predicted == [emb.vocab[9]] * 2
+
+
+@pytest.mark.parametrize("n_words", [3, 9])
+def test_query_words_filling_a_tile(n_words):
+    # with 3-row tiles, each question's a, b and c fill one tile: that tile
+    # offers nothing, and with one tile nothing is left at all
+    rng = np.random.default_rng(n_words)
+    emb = make_embedding(rng.standard_normal((n_words, 3)))
+    questions = [
+        AnalogyQuestion(*emb.vocab[t : t + 3], "word000", "fill")
+        for t in range(0, n_words, 3)
+    ]
+    with small_tiles(tile=3):
+        predicted = assert_matches_oracle(emb, questions)
+    assert all(p is None for p in predicted) == (n_words == 3)
+
+
+def test_all_oov_questions_are_skipped_without_scoring():
+    emb, _ = grid_fixture()
+    questions = [AnalogyQuestion("zz", "ba", "ab", "bb", "x")] * 3
+    with mock.patch.object(analogy_eval, "_best_rows", side_effect=AssertionError):
+        report = evaluate(emb, questions)
+    assert [r.predicted for r in report.answers] == [None] * 3
+
+
+# chunks follow the question order, so reordering the questions regroups them
+@settings(max_examples=40, deadline=None)
+@given(
+    n_words=st.integers(4, 30),
+    n_questions=st.integers(1, 25),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_answers_follow_any_question_order(n_words, n_questions, seed, data):
+    rng = np.random.default_rng(seed)
+    emb = make_embedding(rng.standard_normal((n_words, 3)))
+    questions = random_questions(rng, emb, n_questions)
+    oracle = analogy_answers_bruteforce(emb.vocab, emb.values, questions)
+    assume(all(gap > 1e-9 for _, gap in oracle))
+    order = data.draw(st.permutations(range(n_questions)))
+    with small_tiles():
+        answers = [r.predicted for r in evaluate(emb, questions).answers]
+        shuffled = evaluate(emb, [questions[i] for i in order]).answers
+    assert [r.predicted for r in shuffled] == [answers[i] for i in order]
 
 
 def assert_matches_oracle(emb, questions):

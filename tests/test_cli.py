@@ -120,6 +120,22 @@ def test_compare_invalid_utf8_names_line(tmp_path, capsys):
     assert "line 3: input is not valid UTF-8" in err
 
 
+@pytest.mark.parametrize("bad", ["left", "right"])
+def test_parse_errors_name_their_file(tmp_path, capsys, bad):
+    good = tmp_path / "good.txt"
+    write_glove_text(make_embedding(np.eye(3)), good)
+    broken = tmp_path / f"{bad}_side.txt"
+    broken.write_text("w0 1 2 3\nw1 1 x 3\n")
+    files = [broken, good] if bad == "left" else [good, broken]
+    expected = f"embcompare: error: {broken}: line 2: non-numeric value in row 'w1'\n"
+    code, _, err = run(capsys, "compare", *files)
+    assert (code, err) == (1, expected)
+    questions = tmp_path / "questions.txt"
+    questions.write_text(": c\nw0 w1 w2 w0\n")
+    code, _, err = run(capsys, "analogy", broken, questions)
+    assert (code, err) == (1, expected)
+
+
 @pytest.mark.parametrize("bad", ["left", "right", "both"])
 @pytest.mark.parametrize("fault", ["malformed", "missing"])
 def test_compare_input_errors_keep_their_message(tmp_path, capsys, bad, fault):

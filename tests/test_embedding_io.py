@@ -63,6 +63,19 @@ def test_parse_from_path(tmp_path):
     assert e.n_dims == 2
 
 
+@pytest.mark.parametrize("as_path", [str, lambda p: p])
+def test_parse_error_from_a_path_names_the_file(tmp_path, as_path):
+    p = tmp_path / "bad.txt"
+    p.write_text("a 1 2\nb 3 x\n")
+    with pytest.raises(ParseError) as got:
+        parse_embedding(as_path(p))
+    assert str(got.value) == f"{p}: line 2: non-numeric value in row 'b'"
+    # a handle has no name to give: the message starts with the line
+    with open(p, "rb") as fh, pytest.raises(ParseError) as got:
+        parse_embedding(fh)
+    assert str(got.value) == "line 2: non-numeric value in row 'b'"
+
+
 def test_ragged_rows_error_names_line():
     with pytest.raises(ParseError, match="line 2"):
         parse_embedding(io.StringIO("a 1 2 3\nb 1 2 3 4"))
