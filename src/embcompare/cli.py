@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +38,11 @@ from .analogy_eval import (
 from .cca import NumericalError, cca_fit, check_regularization
 from .column_stats import DEFAULT_BINS, check_bins, correlation_matrix, histogram
 from .embedding_io import (
+    _at_once,
+    _parse_halves,
     _parse_pair,
     align_vocabularies,
-    parse_embedding,
+    parse_embedding,  # unused here, but perfbench/tracing.py wraps it on this module
     write_glove_text,
 )
 from .synthgen import (
@@ -187,7 +191,7 @@ def cmd_compare(args) -> int:
 
 def cmd_analogy(args) -> int:
     questions = _read_questions(args)
-    emb = parse_embedding(args.embedding, format_hint=args.format)
+    emb = _parse_halves(args.embedding, args.format)
     report = evaluate(emb, questions)
     if args.answers_csv:
         write_answers_csv(questions, report.answers, args.answers_csv)
@@ -271,8 +275,15 @@ def cmd_synth(args) -> int:
         raise ValueError(f"unknown transform {args.transform!r}")
     spec = SynthSpec(transforms=transforms, noise_sigma=args.sigma, seed=args.seed)
     pair = derive_pair(base, spec)
-    write_glove_text(pair.left, args.out_left)
-    write_glove_text(pair.right, args.out_right)
+    write_left = partial(write_glove_text, pair.left, args.out_left)
+    write_right = partial(write_glove_text, pair.right, args.out_right)
+    if os.path.realpath(args.out_left) == os.path.realpath(args.out_right):
+        write_left()  # one file, which ends up holding the right matrix
+        write_right()
+    else:
+        # the left file in a forked child; its error wins, as in order, but
+        # a right file written meanwhile is left on disk
+        _at_once(write_left, write_right, args.out_left)
     if args.truth:
         Path(args.truth).write_text(spec.to_json() + "\n", encoding="utf-8")
     _note(

@@ -17,20 +17,33 @@ as ``1_000`` that ``float()`` takes and the C reader does not) or raises the
 first error with its line number.  Memory is the matrix (in a buffer that
 doubles as it fills and is trimmed once) plus one block.
 
-``compare`` reads its two files at once (:func:`_parse_pair`): the left one
-in a forked child, which sends the matrix back down a pipe, and the right
-one in the parent.
+The commands put their text I/O on two cores through one fork helper,
+:func:`_forked`: ``compare`` parses its left file in a child and its right
+one in the parent (:func:`_parse_pair`), ``analogy`` parses a large file in
+two halves, the second in a child (:func:`_parse_halves`), and ``synth``
+writes its two files at once (:func:`_at_once`).  The public
+:func:`parse_embedding` and :func:`write_glove_text` never fork.
 """
 from __future__ import annotations
 
 import csv
+import io
 import os
 import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import IO, BinaryIO, Iterable, Iterator, NoReturn, Sequence
+from typing import (
+    IO,
+    BinaryIO,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    NoReturn,
+    Sequence,
+)
 
 import numpy as np
 
@@ -40,6 +53,14 @@ _COVARIANCE_CHUNK = 2048
 
 # Lines per bulk conversion in parse_embedding: about this many bytes of them.
 _BLOCK_BYTES = 1 << 20
+
+# _parse_halves splits only files of more than this many blocks.
+_SPLIT_BLOCKS = 4
+
+# Rows per formatted block in write_glove_text.
+_WRITE_ROWS = 256
+
+_FORMATS = ("auto", "word2vec_text", "glove_text")
 
 
 class ParseError(ValueError):
@@ -312,7 +333,7 @@ def parse_embedding(
     rows, non-finite values and empty files are all hard errors; a
     :class:`ParseError` from a path starts with that path.
     """
-    if format_hint not in ("auto", "word2vec_text", "glove_text"):
+    if format_hint not in _FORMATS:
         raise ValueError(f"unknown format_hint {format_hint!r}")
     is_path = isinstance(source, (str, Path))
     if name is None:
@@ -327,41 +348,138 @@ def parse_embedding(
 
 def _parse(source: str | Path | IO, format_hint: str, name: str) -> EmbeddingMatrix:
     """:func:`parse_embedding` itself; its errors name lines, not the file."""
+    with opened(source, "rb") as fh:
+        header, n_dims, values, seen = _read(fh, format_hint)
+    return _finish(header, n_dims, values, tuple(seen), name)
+
+
+def _blocks(fh: IO, end: int | None = None) -> Iterator[list]:
+    """``fh.readlines(_BLOCK_BYTES)`` blocks, stopping at byte ``end`` (a line start)."""
+    while lines := fh.readlines(_BLOCK_BYTES):
+        if end is not None and (extra := fh.tell() - end) > 0:
+            while extra > 0:
+                extra -= len(lines.pop())
+            if lines:
+                yield lines
+            return
+        yield lines
+
+
+def _read(
+    fh: IO, format_hint: str, end: int | None = None
+) -> tuple[tuple[int, int] | None, int, np.ndarray, dict[str, int]]:
+    """``(header, n_dims, values, seen)`` for the rows of ``fh`` up to ``end``.
+
+    ``seen`` maps each word to its line, in file order; its length is the
+    number of leading ``values`` rows that hold data.  Every row is checked,
+    the file as a whole is not (:func:`_finish` does that).
+    """
     # Rows go straight into one buffer that doubles when full.  It starts
     # empty and the header never sizes it (the header is outside input).
     values = np.empty(0)
     seen: dict[str, int] = {}  # word -> line; insertion order is the vocab
     header: tuple[int, int] | None = None
     n_dims = 0  # 0 until the first non-blank line is read
-    with opened(source, "rb") as fh:
-        start = 1
-        while lines := fh.readlines(_BLOCK_BYTES):
-            block_start, start = start, start + len(lines)
-            if not n_dims:
-                for lineno, line in enumerate(lines, block_start):
-                    parts = _decoded(line, lineno, ParseError).split()
-                    if parts:
-                        break
-                else:
-                    continue
-                header, n_dims = _first_line(parts, lineno, format_hint)
-                if header is not None:
-                    lines = lines[lineno + 1 - block_start :]
-                    block_start = lineno + 1
-            if not _append_block(block_start, lines, n_dims, values, seen):
-                _append_rows(block_start, lines, n_dims, values, seen)
+    start = 1
+    for lines in _blocks(fh, end):
+        block_start, start = start, start + len(lines)
+        if not n_dims:
+            for lineno, line in enumerate(lines, block_start):
+                parts = _decoded(line, lineno, ParseError).split()
+                if parts:
+                    break
+            else:
+                continue
+            header, n_dims = _first_line(parts, lineno, format_hint)
+            if header is not None:
+                lines = lines[lineno + 1 - block_start :]
+                block_start = lineno + 1
+        if not _append_block(block_start, lines, n_dims, values, seen):
+            _append_rows(block_start, lines, n_dims, values, seen)
+    return header, n_dims, values, seen
 
+
+def _finish(
+    header: tuple[int, int] | None,
+    n_dims: int,
+    values: np.ndarray,
+    vocab: tuple[str, ...],
+    name: str,
+) -> EmbeddingMatrix:
+    """Check the file as a whole, then trim and freeze ``values`` in place."""
     if not n_dims:
         raise ParseError("empty embedding file")
-    if not seen:
+    if not vocab:
         raise ParseError("embedding file has a header but no rows")
-    if header is not None and header[0] != len(seen):
+    if header is not None and header[0] != len(vocab):
         raise ParseError(
-            f"header declares {header[0]} rows but file contains {len(seen)}"
+            f"header declares {header[0]} rows but file contains {len(vocab)}"
         )
-    values.resize((len(seen), n_dims), refcheck=False)
+    values.resize((len(vocab), n_dims), refcheck=False)
     values.flags.writeable = False
-    return EmbeddingMatrix(vocab=tuple(seen), values=values, name=name)
+    return EmbeddingMatrix(vocab=vocab, values=values, name=name)
+
+
+def _parse_halves(path: str | Path, format_hint: str = "auto") -> EmbeddingMatrix:
+    """:func:`parse_embedding` of ``path``, its second half in a forked child.
+
+    A file of more than ``_SPLIT_BLOCKS`` blocks is cut at the first line
+    start after its midpoint.  The parent parses the lines before the cut,
+    the child the lines after it (as ``glove_text``, so the width comes from
+    its first row), and the parent reads the child's rows straight into its
+    own buffer.  Every failure, in either half or in joining them (a width
+    that differs, a word in both halves, a header count that disagrees),
+    is answered by a serial parse of the whole file, which raises the usual
+    error with the usual line number.  Smaller files, and systems without
+    ``os.fork``, are parsed serially.
+    """
+    try:
+        joined = _joined_halves(path, format_hint)
+    except Exception:
+        joined = None
+    return joined if joined is not None else parse_embedding(path, format_hint)
+
+
+def _joined_halves(path: str | Path, format_hint: str) -> EmbeddingMatrix | None:
+    """:func:`_parse_halves`' split parse; ``None`` where it does not split."""
+    size = os.path.getsize(path)
+    if (
+        not hasattr(os, "fork")
+        or format_hint not in _FORMATS
+        or size <= _SPLIT_BLOCKS * _BLOCK_BYTES
+    ):
+        return None
+    with open(path, "rb") as fh:
+        fh.seek(size // 2)
+        fh.readline()
+        split = fh.tell()
+        fh.seek(0)
+        with _forked(partial(_tail_rows, path, split), path) as receive:
+            header, n_dims, values, seen = _read(fh, format_hint, end=split)
+            n = len(seen)
+
+            def into_tail(shape: tuple[int, ...], dtype: str) -> np.ndarray:
+                if shape[0] and shape[1:] != (n_dims,):
+                    raise ParseError("the two halves differ in width")
+                values.resize((n + shape[0], n_dims), refcheck=False)
+                return values[n:]
+
+            tail_vocab = receive(into_tail)[0]
+    # a word in both halves fails EmbeddingMatrix's duplicate check
+    return _finish(header, n_dims, values, tuple(seen) + tail_vocab, Path(path).stem)
+
+
+def _tail_rows(path: str | Path, start: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The child's half of :func:`_parse_halves`: the rows from byte ``start`` on.
+
+    Its line numbers count from ``start``, but its errors are never shown:
+    the parent answers any of them with a serial parse.
+    """
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        _, n_dims, values, seen = _read(fh, "glove_text")
+    values.resize((len(seen), n_dims), refcheck=False)
+    return tuple(seen), values
 
 
 def _parse_pair(
@@ -369,78 +487,156 @@ def _parse_pair(
 ) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
     """``parse_embedding`` of both files, the left one in a forked child.
 
-    numpy's C reader holds the GIL, so a second thread would not help; a
-    forked child parses ``left`` on the second core while the parent parses
-    ``right``, and needs no fresh interpreter.  OpenBLAS's fork handler
-    stops its thread pool, so the process forks with one thread (Python
-    3.12 warns on a fork with more).  The child sends back either
-    the pickled exception or the pickled ``(vocab, name, shape)`` followed by
-    the raw values, which the parent reads into a new array.  The left
-    file's error wins when both files fail; a child that sends no result
-    raises :class:`ChildProcessError` naming ``left``.  Without ``os.fork``
-    the two parses run in order.
+    The left file's error wins when both files fail (see :func:`_at_once`).
+    """
+    (vocab, name, values), right_matrix = _at_once(
+        partial(_parsed_fields, left, format_hint),
+        partial(parse_embedding, right, format_hint),
+        left,
+    )
+    values.flags.writeable = False
+    return EmbeddingMatrix(vocab=vocab, values=values, name=name), right_matrix
+
+
+def _parsed_fields(
+    source: str | Path, format_hint: str
+) -> tuple[tuple[str, ...], str, np.ndarray]:
+    e = parse_embedding(source, format_hint)
+    return e.vocab, e.name, e.values
+
+
+def _at_once(left: Callable[[], object], right: Callable[[], object], label) -> tuple:
+    """``(left(), right())``, with ``left`` run in a forked child meanwhile.
+
+    The left call's error wins when both fail, as if they had run in
+    order.  Without ``os.fork`` they do run in order.
     """
     if not hasattr(os, "fork"):
-        return parse_embedding(left, format_hint), parse_embedding(right, format_hint)
+        return left(), right()
+    with _forked(left, label) as receive:
+        try:
+            right_result = right()
+        except Exception:
+            receive()  # raises the left call's error, if any
+            raise
+        return receive(), right_result
+
+
+class _Raw(NamedTuple):
+    """Stands in a child's pickled result for an array sent raw after it."""
+
+    shape: tuple[int, ...]
+    dtype: str
+
+
+@contextmanager
+def _forked(call: Callable[[], object], label) -> Iterator[Callable[..., object]]:
+    """Run ``call()`` in a forked child; yield ``receive`` for its result.
+
+    numpy's C reader and Python's ``%`` formatting hold the GIL, so a second
+    thread would not help; a forked child works on the second core and
+    needs no fresh interpreter.  OpenBLAS's fork handler stops its thread
+    pool, so the process forks with one thread (Python 3.12 warns on a fork
+    with more).  The child sends back the pickled exception, or the pickled
+    result with each top-level ndarray of a tuple result sent raw after the
+    pickle, then ends in ``os._exit``.
+
+    ``receive(out=np.empty)`` raises the child's exception or returns its
+    result; ``out(shape, dtype)`` gives the array each raw one is read into.
+    A child that sends no whole result raises :class:`ChildProcessError`
+    naming ``label``.  The child is always reaped on exit; the pipe is
+    closed first, so a child blocked on writing gets EPIPE and ends.
+    """
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         os.close(read_fd)  # else a parent that stops reading never gives EPIPE
-        _parse_to_pipe(write_fd, left, format_hint)
+        _send(write_fd, call)
     os.close(write_fd)
     try:
-        # closed on any exit, so a child blocked on write gets EPIPE and exits
         with open(read_fd, "rb") as pipe:
-            try:
-                right_matrix = parse_embedding(right, format_hint)
-            except Exception:
-                _receive(pipe, left)  # raises the left file's error, if any
-                raise
-            return _receive(pipe, left), right_matrix
+            yield partial(_receive, pipe, label)
     finally:
         os.waitpid(pid, 0)
 
 
-def _parse_to_pipe(fd: int, source: str | Path, format_hint: str) -> NoReturn:
-    """The child's side of :func:`_parse_pair`; always ends in ``os._exit``."""
+def _send(fd: int, call: Callable[[], object]) -> NoReturn:
+    """The child's side of :func:`_forked`; always ends in ``os._exit``."""
     status = 1
     try:
         with open(fd, "wb") as pipe:
             try:
-                e = parse_embedding(source, format_hint)
+                result = call()
             except Exception as exc:
                 pickle.dump(exc, pipe)
             else:
-                pickle.dump((e.vocab, e.name, e.values.shape), pipe)
-                pipe.write(e.values.data)
+                arrays = []
+                if isinstance(result, tuple):
+                    arrays = [x for x in result if isinstance(x, np.ndarray)]
+                    result = tuple(
+                        _Raw(x.shape, x.dtype.str) if isinstance(x, np.ndarray) else x
+                        for x in result
+                    )
+                pickle.dump(result, pipe)
+                for x in arrays:
+                    pipe.write(np.ascontiguousarray(x).data)
         status = 0
     finally:
         os._exit(status)
 
 
-def _receive(pipe: BinaryIO, source: str | Path) -> EmbeddingMatrix:
-    """Read one result of :func:`_parse_to_pipe`: a matrix, or raise its error."""
+def _receive(pipe: BinaryIO, label, out: Callable[..., np.ndarray] = np.empty):
+    """Read one result of :func:`_send`: return it, or raise its exception."""
+    lost = ChildProcessError(f"{label}: the process handling it ended without a result")
     try:
         head = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
-        head = None
+        raise lost from None
     if isinstance(head, Exception):
         raise head
-    if head is not None:
-        vocab, name, shape = head
-        values = np.empty(shape)
-        if pipe.readinto(values.data) == values.nbytes:
-            values.flags.writeable = False
-            return EmbeddingMatrix(vocab=vocab, values=values, name=name)
-    raise ChildProcessError(f"{source}: the process parsing it ended without a result")
+    if not isinstance(head, tuple):
+        return head
+    result = []
+    for x in head:
+        if isinstance(x, _Raw):
+            x = out(x.shape, x.dtype)
+            if pipe.readinto(x.data) != x.nbytes:
+                raise lost
+        result.append(x)
+    return tuple(result)
 
 
 def write_glove_text(e: EmbeddingMatrix, dest: str | Path | IO) -> None:
-    """Serialize in glove_text format with 6 significant digits."""
-    fmt = " %.6g" * e.n_dims + "\n"
-    with opened(dest, "w", encoding="utf-8") as out:
-        for word, row in zip(e.vocab, e.values):
-            out.write(word + fmt % tuple(row.tolist()))
+    """Serialize in glove_text format with 6 significant digits.
+
+    Rows are formatted as UTF-8 bytes, ``_WRITE_ROWS`` at a time, and written
+    to a path or binary handle as such; any other handle (``StringIO``, say)
+    gets them decoded.  A word the format cannot hold (empty, or containing
+    whitespace as ``str.split`` sees it) raises ``ValueError`` naming it
+    before anything is written.
+    """
+    for word in e.vocab:
+        if word.split() != [word]:
+            raise ValueError(
+                f"cannot write word {word!r} as glove_text: "
+                "a word must be non-empty with no whitespace"
+            )
+    words = [word.encode("utf-8") for word in e.vocab]
+    fmt = b" %.6g" * e.n_dims + b"\n"
+    with opened(dest, "wb") as out:
+        binary = isinstance(out, (io.RawIOBase, io.BufferedIOBase))
+        for start in range(0, e.n_words, _WRITE_ROWS):
+            stop = start + _WRITE_ROWS
+            block = b"".join([
+                word + fmt % tuple(row)
+                for word, row in zip(words[start:stop], e.values[start:stop].tolist())
+            ])
+            out.write(block if binary else block.decode("utf-8"))
 
 
 def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:

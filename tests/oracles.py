@@ -6,6 +6,7 @@ canonical correlations instead of covariance whitening, plain textbook
 formulas instead of vectorized kernels, and exact Fraction arithmetic on an
 explicit coincidence matrix for the agreement coefficient, a
 textbook line-at-a-time ``str.split`` + ``float()`` parse of text embeddings,
+a one-``str``-row-at-a-time ``%`` writer of them,
 analogy answers scored one question at a time instead of in blocks, and
 scipy's ``gaussian_kde`` for the windowed numpy KDE.
 """
@@ -191,6 +192,12 @@ def parse_embedding_rowwise(
             f"header declares {declared} rows but file contains {len(vocab)}"
         )
     return vocab, rows
+
+
+def write_glove_text_rowwise(vocab, values) -> str:
+    """glove_text as one ``str`` per row: the word, then ``" %.6g"`` per value."""
+    fmt = " %.6g" * len(values[0]) + "\n"
+    return "".join(word + fmt % tuple(row) for word, row in zip(vocab, values))
 
 
 def alpha_coincidence_matrix(a, b) -> Fraction:

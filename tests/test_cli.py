@@ -11,6 +11,7 @@ import pytest
 import embcompare
 from embcompare import parse_embedding, write_glove_text
 from embcompare.cli import main
+from embcompare.synthgen import SynthSpec, derive_pair, random_embedding, random_invertible
 from helpers import (
     ANSWERS_HEADER,
     MALFORMED_ANSWER_ROWS,
@@ -82,6 +83,55 @@ def test_synth_non_finite_sigma_exits_one(tmp_path, capsys):
         assert code == 1
         assert f"noise_sigma must be a finite number >= 0, got {sigma}" in err
         assert not any(path.exists() for path in outputs)
+
+
+def test_synth_files_match_the_library_writer(tmp_path, capsys):
+    left, right, truth = tmp_path / "l.txt", tmp_path / "r.txt", tmp_path / "t.json"
+    code, _, _ = run(
+        capsys, "synth", "--rows", "700", "--dims", "6", "--seed", "8",
+        "--transform", "linear", "--sigma", "0.3", "--out-left", left,
+        "--out-right", right, "--truth", truth,
+    )
+    assert code == 0
+    assert_no_child_left()
+    base = random_embedding(700, 6, 8)
+    spec = SynthSpec(transforms=(random_invertible(6, 8),), noise_sigma=0.3, seed=8)
+    pair = derive_pair(base, spec)
+    for e, path in ((pair.left, left), (pair.right, right)):
+        expected = tmp_path / "expected.txt"
+        write_glove_text(e, expected)
+        assert path.read_bytes() == expected.read_bytes()
+    assert truth.read_text() == spec.to_json() + "\n"
+
+
+def test_synth_to_one_path_writes_the_right_matrix(tmp_path, capsys):
+    both = tmp_path / "both.txt"
+    code, _, _ = run(
+        capsys, "synth", "--rows", "300", "--dims", "4", "--seed", "2",
+        "--transform", "linear", "--sigma", "0.5", "--out-left", both,
+        "--out-right", f"{tmp_path}/./both.txt",  # the same file by another name
+    )
+    assert code == 0
+    spec = SynthSpec(transforms=(random_invertible(4, 2),), noise_sigma=0.5, seed=2)
+    expected = tmp_path / "expected.txt"
+    write_glove_text(derive_pair(random_embedding(300, 4, 2), spec).right, expected)
+    assert both.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("right_ok", [True, False])
+def test_synth_unwritable_left_exits_one_naming_it(tmp_path, capsys, right_ok):
+    left = tmp_path / "no_such_dir" / "l.txt"
+    right = tmp_path / ("r.txt" if right_ok else "other_missing_dir/r.txt")
+    code, out, err = run(
+        capsys, "synth", "--rows", "50", "--dims", "3", "--out-left", left,
+        "--out-right", right,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"embcompare: error: [Errno 2] No such file or directory: '{left}'\n"
+    assert_no_child_left()
+    # the right file is written beside the failing left one, and stays
+    assert right.exists() == right_ok
 
 
 def test_compare_self_is_perfect(tmp_path, capsys):
@@ -158,40 +208,66 @@ def test_compare_input_errors_keep_their_message(tmp_path, capsys, bad, fault):
     assert_no_child_left()
 
 
-@pytest.mark.skipif(
+# Python 3.12 warns when os.fork() runs in a process with more than one OS
+# thread (the count in /proc/self/stat).  BLAS's fork handler stops its pool,
+# so the parent must be alone right after the fork; the probe reads the count
+# at that point, and runs the CLI with every warning an error.
+_FORK_PROBE = (
+    "import os, sys, embcompare.cli\n"
+    "fork, threads = os.fork, []\n"
+    "def counting_fork():\n"
+    "    pid = fork()\n"
+    "    if pid:\n"
+    "        with open('/proc/self/stat') as fh:\n"
+    "            threads.append(int(fh.read().rsplit(')', 1)[1].split()[17]))\n"
+    "    return pid\n"
+    "os.fork = counting_fork\n"
+    "code = embcompare.cli.main(sys.argv[1:])\n"
+    "print(threads)\n"
+    "sys.exit(code)\n"
+)
+
+needs_thread_count = pytest.mark.skipif(
     not hasattr(os, "fork") or not os.path.exists("/proc/self/stat"),
     reason="needs os.fork and /proc/self/stat",
 )
-def test_compare_forks_from_a_single_threaded_process(synth_files, tmp_path):
-    # Python 3.12 warns when os.fork() runs in a process with more than one
-    # OS thread (the count in /proc/self/stat).  BLAS's fork handler stops
-    # its pool, so the parent must be alone right after the fork; the count
-    # is read at that point, and every warning is an error.
-    probe = (
-        "import os, sys, embcompare.cli\n"
-        "fork, threads = os.fork, []\n"
-        "def counting_fork():\n"
-        "    pid = fork()\n"
-        "    if pid:\n"
-        "        with open('/proc/self/stat') as fh:\n"
-        "            threads.append(int(fh.read().rsplit(')', 1)[1].split()[17]))\n"
-        "    return pid\n"
-        "os.fork = counting_fork\n"
-        "code = embcompare.cli.main(sys.argv[1:])\n"
-        "print(threads)\n"
-        "sys.exit(code)\n"
-    )
+
+
+def _threads_at_fork(*argv) -> str:
+    """Run the CLI under the probe; its printed list of thread counts at each fork."""
     src = str(Path(embcompare.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    left, right = synth_files
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-c", probe, "compare", str(left), str(right),
-         "--out", str(tmp_path / "r.json")],
+        [sys.executable, "-W", "error", "-c", _FORK_PROBE, *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[1]"
+    return done.stdout.strip()
+
+
+@needs_thread_count
+def test_compare_forks_from_a_single_threaded_process(synth_files, tmp_path):
+    left, right = synth_files
+    assert _threads_at_fork("compare", left, right, "--out", tmp_path / "r.json") == "[1]"
+
+
+@needs_thread_count
+def test_synth_and_analogy_fork_from_a_single_threaded_process(tmp_path):
+    # --transform linear runs BLAS before the fork; 2,500 x 300 is a file
+    # of several parse blocks, so analogy splits it
+    left, right = tmp_path / "l.txt", tmp_path / "r.txt"
+    assert _threads_at_fork(
+        "synth", "--rows", 2500, "--dims", 300, "--seed", 1, "--transform", "linear",
+        "--out-left", left, "--out-right", right,
+    ) == "[1]"
+    emb_io = embcompare.embedding_io
+    assert left.stat().st_size > emb_io._SPLIT_BLOCKS * emb_io._BLOCK_BYTES
+    questions = tmp_path / "q.txt"
+    questions.write_text(": c\nw000001 w000002 w000003 w000004\n")
+    assert _threads_at_fork(
+        "analogy", left, questions, "--out", tmp_path / "a.json"
+    ) == "[1]"
 
 
 def test_compare_dimension_mismatch_fails_after_parsing(tmp_path, capsys, monkeypatch):

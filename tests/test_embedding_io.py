@@ -3,6 +3,8 @@ import os
 import pickle
 import re
 import signal
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from embcompare import (
 )
 from embcompare.embedding_io import opened
 from helpers import assert_no_child_left, make_embedding
-from oracles import parse_embedding_rowwise
+from oracles import parse_embedding_rowwise, write_glove_text_rowwise
 
 
 def test_opened_closes_paths_and_leaves_handles_open(tmp_path):
@@ -225,6 +227,54 @@ def test_write_parse_round_trip(data, n_dims, vocab, word2vec):
     assert again.vocab == tuple(vocab)
     expected = [[float(f"{v:.6g}") for v in row] for row in values.tolist()]
     assert again.values.tolist() == expected
+
+
+# Finite doubles, with the edges of %g's output spelled out.
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 1.2345e-310, 2.2250738585072014e-308,
+        1.79e308, -1.79e308, 1.7976931348623157e308, 999999.5, 0.000123456789,
+    ]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n_dims=st.integers(1, 5),
+    vocab=st.lists(_words, min_size=1, max_size=12, unique=True),
+    write_rows=st.integers(1, 5),
+)
+def test_writer_bytes_match_the_rowwise_oracle(data, n_dims, vocab, write_rows):
+    values = np.array(
+        [data.draw(st.lists(_EDGE_FLOATS, min_size=n_dims, max_size=n_dims))
+         for _ in vocab],
+        dtype=np.float64,
+    )
+    e = make_embedding(values, vocab)
+    expected = write_glove_text_rowwise(vocab, values.tolist())
+    with mock.patch.object(embedding_io, "_WRITE_ROWS", write_rows), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.txt"
+        write_glove_text(e, path)
+        assert path.read_bytes() == expected.encode("utf-8")
+        raw, text = io.BytesIO(), io.StringIO()
+        write_glove_text(e, raw)
+        write_glove_text(e, text)
+    assert raw.getvalue() == expected.encode("utf-8")
+    assert text.getvalue() == expected
+
+
+@pytest.mark.parametrize("word", ["", "two words", "nb\xa0sp", "tab\t", "\u3000", "eol\n"])
+def test_writer_refuses_words_glove_text_cannot_hold(tmp_path, word):
+    e = make_embedding(np.eye(3), vocab=("ok", "fine", word))
+    path, text = tmp_path / "out.txt", io.StringIO()
+    for dest in (path, text):
+        with pytest.raises(ValueError, match=re.escape(repr(word))):
+            write_glove_text(e, dest)
+    assert not path.exists()  # refused before the file was opened
+    assert text.getvalue() == ""
 
 
 def _blocks(data: bytes, block_bytes: int) -> list[list[bytes]]:
@@ -602,3 +652,147 @@ def test_parse_pair_interrupted_parent_does_not_wait_on_a_blocked_child(
     with pytest.raises(KeyboardInterrupt):
         embedding_io._parse_pair(left, right)
     assert_no_child_left()
+
+
+# ------------------------------------------------ _parse_halves (analogy's reader)
+
+
+def _rows_text(n=80, dims=3, *, header=False, blank=False, crlf=False,
+               underscore=False, non_ascii=False, trailing_newline=True) -> bytes:
+    """A glove/word2vec text file whose options put each feature in both halves."""
+    eol = "\r\n" if crlf else "\n"
+    lines = [f"{n} {dims}{eol}"] if header else []
+    for i in range(n):
+        word = f"w\xe9\u4e2d{i}" if non_ascii else f"w{i}"
+        tokens = [f"{(i * 7 + j) % 13 - 6.5!r}" for j in range(dims)]
+        if underscore and i % 9 == 4:
+            tokens[0] = "1_000"
+        lines.append(word + " " + " ".join(tokens) + eol)
+        if blank and i % 6 == 2:
+            lines.append(" \t" + eol)
+    text = "".join(lines)
+    return (text if trailing_newline else text.rstrip("\r\n")).encode("utf-8")
+
+
+@pytest.fixture
+def halves(monkeypatch):
+    """``_parse_halves`` with 64-byte blocks; returns it and the splits it forked."""
+    monkeypatch.setattr(embedding_io, "_BLOCK_BYTES", 64)
+    forked = []
+    real = embedding_io._forked
+
+    def recording(call, label):
+        forked.append(label)
+        return real(call, label)
+
+    monkeypatch.setattr(embedding_io, "_forked", recording)
+    return embedding_io._parse_halves, forked
+
+
+@needs_fork
+@pytest.mark.parametrize("options", [
+    {},
+    {"header": True},
+    {"blank": True},
+    {"crlf": True},
+    {"underscore": True},
+    {"non_ascii": True},
+    {"trailing_newline": False},
+    {"header": True, "blank": True, "crlf": True, "non_ascii": True,
+     "underscore": True, "trailing_newline": False},
+])
+def test_parse_halves_equals_a_serial_parse(tmp_path, halves, options, no_hang):
+    parse_halves, forked = halves
+    path = tmp_path / "emb.txt"
+    path.write_bytes(_rows_text(**options))
+    got = parse_halves(path)
+    assert forked == [path]
+    assert_no_child_left()
+    expected = parse_embedding(path)
+    assert got.vocab == expected.vocab
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert got.name == expected.name == "emb"
+    assert not got.values.flags.writeable
+
+
+@needs_fork
+def test_parse_halves_with_the_midpoint_in_the_last_line(tmp_path, halves, no_hang):
+    # the cut falls at the end of the file, so the child's half is empty
+    parse_halves, forked = halves
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"short" + b" 0" * 100 + b"\nlong" + b" -0.123456789" * 100 + b"\n")
+    got = parse_halves(path)
+    assert forked == [path]
+    assert got.vocab == ("short", "long")
+    assert got.values.tobytes() == parse_embedding(path).values.tobytes()
+
+
+def test_parse_halves_parses_a_small_file_in_one_process(tmp_path, halves):
+    parse_halves, forked = halves
+    path = tmp_path / "small.txt"
+    path.write_bytes(_rows_text(n=5))
+    assert parse_halves(path).vocab == parse_embedding(path).vocab
+    assert forked == []
+
+
+def _fault(text: bytes, fault: str) -> bytes:
+    lines = text.split(b"\n")
+    head, tail = len(lines) // 4, len(lines) * 3 // 4  # one in each half
+    if fault == "duplicate_across":
+        lines[tail] = lines[head].split()[0] + b" " + b" ".join(lines[tail].split()[1:])
+    elif fault == "duplicate_in_tail":
+        lines[tail] = lines[tail - 1].split()[0] + b" " + b" ".join(lines[tail].split()[1:])
+    elif fault == "utf8_in_tail":
+        lines[tail] = b"\xff" + lines[tail]
+    elif fault == "non_numeric_in_head":
+        lines[head] = lines[head].split()[0] + b" oops" + lines[head][-8:]
+    elif fault == "ragged_in_tail":
+        lines[tail] += b" 0.5"
+    elif fault == "wider_tail":
+        # every row from the split on ends "x.5" -> "x 5": one more value, and
+        # the same length, so the split stays put and the tail parses alone
+        split = text.index(b"\n", len(text) // 2) + 1
+        return text[:split] + text[split:].replace(b".5\n", b" 5\n")
+    elif fault == "header_count":
+        lines[0] = b"81 3"
+    return b"\n".join(lines)
+
+
+@needs_fork
+@pytest.mark.parametrize("fault", [
+    "duplicate_across", "duplicate_in_tail", "utf8_in_tail", "non_numeric_in_head",
+    "ragged_in_tail", "wider_tail", "header_count",
+])
+def test_parse_halves_errors_match_a_serial_parse(tmp_path, halves, fault, no_hang):
+    parse_halves, forked = halves
+    path = tmp_path / "bad.txt"
+    path.write_bytes(_fault(_rows_text(header=fault == "header_count"), fault))
+    with pytest.raises(ParseError) as serial:
+        parse_embedding(path)
+    assert str(serial.value).startswith(f"{path}: ")
+    with pytest.raises(ParseError) as got:
+        parse_halves(path)
+    assert str(got.value) == str(serial.value)
+    assert forked == [path]
+    assert_no_child_left()
+
+
+@needs_fork
+def test_parse_halves_survives_a_child_that_sends_nothing(tmp_path, halves, monkeypatch, no_hang):
+    parse_halves, forked = halves
+    path = tmp_path / "emb.txt"
+    path.write_bytes(_rows_text())
+    monkeypatch.setattr(embedding_io, "_tail_rows", lambda *args: os._exit(3))
+    got = parse_halves(path)
+    assert forked == [path]
+    assert_no_child_left()
+    assert got.values.tobytes() == parse_embedding(path).values.tobytes()
+
+
+def test_parse_halves_missing_file_raises_as_parse_embedding(tmp_path):
+    path = tmp_path / "missing.txt"
+    with pytest.raises(FileNotFoundError) as serial:
+        parse_embedding(path)
+    with pytest.raises(FileNotFoundError) as got:
+        embedding_io._parse_halves(path)
+    assert str(got.value) == str(serial.value)
