@@ -40,7 +40,6 @@ from .column_stats import DEFAULT_BINS, check_bins, correlation_matrix, histogra
 from .embedding_io import (
     _at_once,
     _parse_halves,
-    _parse_pair,
     align_vocabularies,
     parse_embedding,  # unused here, but perfbench/tracing.py wraps it on this module
     write_glove_text,
@@ -93,7 +92,9 @@ def cmd_compare(args) -> int:
     check_bins(args.bins)
     check_regularization(args.regularization)
     questions = _read_questions(args) if args.questions else None
-    left, right = _parse_pair(args.left, args.right, args.format)
+    # the left file first, so its error wins when both are bad
+    left = _parse_halves(args.left, args.format)
+    right = _parse_halves(args.right, args.format)
     if left.n_dims != right.n_dims:
         raise ValueError(
             f"{args.left} has {left.n_dims} dimensions but {args.right} has "

@@ -18,11 +18,11 @@ first error with its line number.  Memory is the matrix (in a buffer that
 doubles as it fills and is trimmed once) plus one block.
 
 The commands put their text I/O on two cores through one fork helper,
-:func:`_forked`: ``compare`` parses its left file in a child and its right
-one in the parent (:func:`_parse_pair`), ``analogy`` parses a large file in
-two halves, the second in a child (:func:`_parse_halves`), and ``synth``
-writes its two files at once (:func:`_at_once`).  The public
-:func:`parse_embedding` and :func:`write_glove_text` never fork.
+:func:`_forked`: ``compare`` and ``analogy`` parse each large file in two
+halves, the second in a child (:func:`_parse_halves`; ``compare`` reads its
+left file first), and ``synth`` writes its two files at once
+(:func:`_at_once`).  The public :func:`parse_embedding` and
+:func:`write_glove_text` never fork.
 """
 from __future__ import annotations
 
@@ -285,12 +285,18 @@ def _append_block(
 
 
 def _append_rows(
-    start: int, lines: list, n_dims: int, values: np.ndarray, seen: dict[str, int]
+    start: int,
+    lines: list,
+    n_dims: int,
+    values: np.ndarray,
+    seen: dict[str, int],
+    header_note: str = "",
 ) -> None:
     """Append a block row by row, raising the first :class:`ParseError` in it.
 
     Values follow Python's ``float()`` grammar, so this also accepts what
-    the C reader rejects (``1_000``, non-ASCII digits).
+    the C reader rejects (``1_000``, non-ASCII digits).  ``header_note``
+    ends the error of a first row whose width disagrees with the header.
     """
     for lineno, line in enumerate(lines, start):
         parts = _decoded(line, lineno, ParseError).split()
@@ -300,7 +306,7 @@ def _append_rows(
         if len(parts) - 1 != n_dims:  # before the assignment, which broadcasts
             raise ParseError(
                 f"line {lineno}: expected {n_dims} values for {word!r}, "
-                f"got {len(parts) - 1}"
+                f"got {len(parts) - 1}{'' if seen else header_note}"
             )
         n = len(seen)
         _reserve(values, n + 1, n_dims)
@@ -380,6 +386,7 @@ def _read(
     seen: dict[str, int] = {}  # word -> line; insertion order is the vocab
     header: tuple[int, int] | None = None
     n_dims = 0  # 0 until the first non-blank line is read
+    header_note = ""  # set when auto took a row-like first line as the header
     start = 1
     for lines in _blocks(fh, end):
         block_start, start = start, start + len(lines)
@@ -394,8 +401,13 @@ def _read(
             if header is not None:
                 lines = lines[lineno + 1 - block_start :]
                 block_start = lineno + 1
+                if format_hint == "auto":
+                    header_note = (
+                        f" (line {lineno} was read as a word2vec '<count> <dim>' "
+                        "header; use format glove_text if it is a row)"
+                    )
         if not _append_block(block_start, lines, n_dims, values, seen):
-            _append_rows(block_start, lines, n_dims, values, seen)
+            _append_rows(block_start, lines, n_dims, values, seen, header_note)
     return header, n_dims, values, seen
 
 
@@ -423,15 +435,18 @@ def _finish(
 def _parse_halves(path: str | Path, format_hint: str = "auto") -> EmbeddingMatrix:
     """:func:`parse_embedding` of ``path``, its second half in a forked child.
 
-    A file of more than ``_SPLIT_BLOCKS`` blocks is cut at the first line
-    start after its midpoint.  The parent parses the lines before the cut,
-    the child the lines after it (as ``glove_text``, so the width comes from
-    its first row), and the parent reads the child's rows straight into its
-    own buffer.  Every failure, in either half or in joining them (a width
-    that differs, a word in both halves, a header count that disagrees),
-    is answered by a serial parse of the whole file, which raises the usual
-    error with the usual line number.  Smaller files, and systems without
-    ``os.fork``, are parsed serially.
+    ``compare`` reads each of its files this way, the left one first, and
+    ``analogy`` its one file.  A file of more than ``_SPLIT_BLOCKS`` blocks
+    (4 MiB) is cut at the first line start after its midpoint.  The parent
+    parses the lines before the cut, the child the lines after it (as
+    ``glove_text``, so the width comes from its first row), and the parent
+    reads the child's rows straight into its own buffer, so the copy in
+    flight is half a matrix.  Every failure, in either half or in joining
+    them (a width that differs, a word in both halves, a header count that
+    disagrees, a child that ends without a whole result), is answered by a
+    serial parse of the whole file, which raises the usual error with the
+    usual line number.  Smaller files, and systems without ``os.fork``, are
+    parsed serially.
     """
     try:
         joined = _joined_halves(path, format_hint)
@@ -482,44 +497,24 @@ def _tail_rows(path: str | Path, start: int) -> tuple[tuple[str, ...], np.ndarra
     return tuple(seen), values
 
 
-def _parse_pair(
-    left: str | Path, right: str | Path, format_hint: str = "auto"
-) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-    """``parse_embedding`` of both files, the left one in a forked child.
+def _at_once(left: Callable[[], None], right: Callable[[], None], label) -> None:
+    """Run ``right()`` here and ``left()`` in a forked child meanwhile.
 
-    The left file's error wins when both files fail (see :func:`_at_once`).
-    """
-    (vocab, name, values), right_matrix = _at_once(
-        partial(_parsed_fields, left, format_hint),
-        partial(parse_embedding, right, format_hint),
-        left,
-    )
-    values.flags.writeable = False
-    return EmbeddingMatrix(vocab=vocab, values=values, name=name), right_matrix
-
-
-def _parsed_fields(
-    source: str | Path, format_hint: str
-) -> tuple[tuple[str, ...], str, np.ndarray]:
-    e = parse_embedding(source, format_hint)
-    return e.vocab, e.name, e.values
-
-
-def _at_once(left: Callable[[], object], right: Callable[[], object], label) -> tuple:
-    """``(left(), right())``, with ``left`` run in a forked child meanwhile.
-
-    The left call's error wins when both fail, as if they had run in
-    order.  Without ``os.fork`` they do run in order.
+    ``synth`` writes its two files this way.  The left call's error wins
+    when both fail, as if they had run in order.  Without ``os.fork`` they
+    do run in order.
     """
     if not hasattr(os, "fork"):
-        return left(), right()
+        left()
+        right()
+        return
     with _forked(left, label) as receive:
         try:
-            right_result = right()
+            right()
         except Exception:
             receive()  # raises the left call's error, if any
             raise
-        return receive(), right_result
+        receive()
 
 
 class _Raw(NamedTuple):
@@ -541,8 +536,8 @@ def _forked(call: Callable[[], object], label) -> Iterator[Callable[..., object]
     result with each top-level ndarray of a tuple result sent raw after the
     pickle, then ends in ``os._exit``.
 
-    ``receive(out=np.empty)`` raises the child's exception or returns its
-    result; ``out(shape, dtype)`` gives the array each raw one is read into.
+    ``receive(out)`` raises the child's exception or returns its result;
+    ``out(shape, dtype)`` gives the array each raw one is read into.
     A child that sends no whole result raises :class:`ChildProcessError`
     naming ``label``.  The child is always reaped on exit; the pipe is
     closed first, so a child blocked on writing gets EPIPE and ends.
@@ -590,7 +585,7 @@ def _send(fd: int, call: Callable[[], object]) -> NoReturn:
         os._exit(status)
 
 
-def _receive(pipe: BinaryIO, label, out: Callable[..., np.ndarray] = np.empty):
+def _receive(pipe: BinaryIO, label, out: Callable[..., np.ndarray] | None = None):
     """Read one result of :func:`_send`: return it, or raise its exception."""
     lost = ChildProcessError(f"{label}: the process handling it ended without a result")
     try:

@@ -141,6 +141,7 @@ def parse_embedding_rowwise(
     rows: list[list[float]] = []
     first_seen: dict[str, int] = {}
     declared = n_dims = None
+    header_note = ""
     for lineno, raw in enumerate(data.split(b"\n"), start=1):
         try:
             line = raw.decode("utf-8")
@@ -157,6 +158,11 @@ def parse_embedding_rowwise(
                         f"line {lineno}: expected '<count> <dim>' header, got {parts!r}"
                     )
                 declared, n_dims = int(parts[0]), int(parts[1])
+                if format_hint == "auto":
+                    header_note = (
+                        f" (line {lineno} was read as a word2vec '<count> <dim>' "
+                        "header; use format glove_text if it is a row)"
+                    )
                 continue
             n_dims = len(parts) - 1
             if n_dims == 0:
@@ -165,7 +171,7 @@ def parse_embedding_rowwise(
         if len(tokens) != n_dims:
             raise ValueError(
                 f"line {lineno}: expected {n_dims} values for {word!r}, "
-                f"got {len(tokens)}"
+                f"got {len(tokens)}{'' if vocab else header_note}"
             )
         try:
             row = [float(t) for t in tokens]

@@ -118,6 +118,26 @@ def test_synth_to_one_path_writes_the_right_matrix(tmp_path, capsys):
     assert both.read_bytes() == expected.read_bytes()
 
 
+def test_synth_without_fork_writes_in_order(tmp_path, capsys, monkeypatch):
+    if hasattr(os, "fork"):
+        monkeypatch.delattr(os, "fork")
+    written = []
+
+    def recording(e, dest):
+        written.append(dest)
+        write_glove_text(e, dest)
+
+    monkeypatch.setattr("embcompare.cli.write_glove_text", recording)
+    left, right = tmp_path / "l.txt", tmp_path / "r.txt"
+    code, _, _ = run(
+        capsys, "synth", "--rows", "300", "--dims", "4", "--out-left", left,
+        "--out-right", right,
+    )
+    assert code == 0
+    assert written == [str(left), str(right)]
+    assert left.stat().st_size and right.stat().st_size
+
+
 @pytest.mark.parametrize("right_ok", [True, False])
 def test_synth_unwritable_left_exits_one_naming_it(tmp_path, capsys, right_ok):
     left = tmp_path / "no_such_dir" / "l.txt"
@@ -149,7 +169,7 @@ def test_compare_self_is_perfect(tmp_path, capsys):
     assert report["inputs"]["shared_vocabulary"] == 300
     assert report["zeta"]["zeta_cca"] >= report["zeta"]["zeta_1to1"] - 1e-6
     assert "zeta_1to1" in err
-    assert_no_child_left()  # the left file's parse child is reaped
+    assert_no_child_left()
 
 
 def test_compare_missing_file_names_path(tmp_path, capsys):
@@ -189,8 +209,8 @@ def test_parse_errors_name_their_file(tmp_path, capsys, bad):
 @pytest.mark.parametrize("bad", ["left", "right", "both"])
 @pytest.mark.parametrize("fault", ["malformed", "missing"])
 def test_compare_input_errors_keep_their_message(tmp_path, capsys, bad, fault):
-    # the two files are parsed at once; the error is the one a left-then-right
-    # parse raises first, and compare leaves no child process behind
+    # the error is the one a left-then-right parse raises first, and compare
+    # leaves no child process behind
     good = tmp_path / "good.txt"
     write_glove_text(make_embedding(np.eye(3)), good)
     paths = {"left": good, "right": good}
@@ -247,9 +267,20 @@ def _threads_at_fork(*argv) -> str:
 
 
 @needs_thread_count
-def test_compare_forks_from_a_single_threaded_process(synth_files, tmp_path):
-    left, right = synth_files
-    assert _threads_at_fork("compare", left, right, "--out", tmp_path / "r.json") == "[1]"
+def test_compare_forks_from_a_single_threaded_process(tmp_path, capsys):
+    # 2,500 x 300 files are of several parse blocks, so compare splits each,
+    # forking once per file; --transform linear runs BLAS before the forks
+    left, right = tmp_path / "l.txt", tmp_path / "r.txt"
+    code, _, _ = run(
+        capsys, "synth", "--rows", 2500, "--dims", 300, "--seed", 1,
+        "--transform", "linear", "--out-left", left, "--out-right", right,
+    )
+    assert code == 0
+    emb_io = embcompare.embedding_io
+    assert right.stat().st_size > emb_io._SPLIT_BLOCKS * emb_io._BLOCK_BYTES
+    assert _threads_at_fork(
+        "compare", left, right, "--out", tmp_path / "r.json"
+    ) == "[1, 1]"
 
 
 @needs_thread_count
@@ -295,7 +326,7 @@ def test_compare_checks_questions_before_parsing(tmp_path, capsys, monkeypatch, 
     def no_parse(*args, **kwargs):
         raise AssertionError("embedding parsed before the question file was checked")
 
-    monkeypatch.setattr("embcompare.cli._parse_pair", no_parse)
+    monkeypatch.setattr("embcompare.cli._parse_halves", no_parse)
     code, _, err = run(
         capsys, "compare", tmp_path / "left.txt", tmp_path / "right.txt",
         "--questions", q_path,

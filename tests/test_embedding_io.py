@@ -152,6 +152,32 @@ def test_auto_detection_requires_two_positive_integers():
     assert e.vocab == ("up", "down")
 
 
+def test_auto_names_its_header_guess_when_the_first_row_disagrees():
+    # a positive-integer word with one positive-integer value reads as a
+    # word2vec header; the rule stays, the error says what was assumed
+    buf = io.BytesIO()
+    write_glove_text(EmbeddingMatrix(vocab=("5", "w"), values=[[3.0], [1.0]]), buf)
+    assert buf.getvalue() == b"5 3\nw 1\n"
+    with pytest.raises(ParseError) as exc:
+        parse_embedding(io.BytesIO(buf.getvalue()))
+    assert str(exc.value) == (
+        "line 2: expected 3 values for 'w', got 1 (line 1 was read as a word2vec "
+        "'<count> <dim>' header; use format glove_text if it is a row)"
+    )
+    e = parse_embedding(io.BytesIO(buf.getvalue()), format_hint="glove_text")
+    assert e.vocab == ("5", "w")
+    # a later row's width error is the row's own
+    with pytest.raises(ParseError) as exc:
+        parse_embedding(io.StringIO("\n2 3\nw 1 2 3\nv 1\n"))
+    assert str(exc.value) == "line 4: expected 3 values for 'v', got 1"
+
+
+def test_explicit_word2vec_width_error_keeps_its_message():
+    with pytest.raises(ParseError) as exc:
+        parse_embedding(io.StringIO("5 3\nw 1\n"), format_hint="word2vec_text")
+    assert str(exc.value) == "line 2: expected 3 values for 'w', got 1"
+
+
 def test_blank_lines_ignored():
     e = parse_embedding(io.StringIO("a 1 2\n\nb 3 4\n\n"))
     assert e.vocab == ("a", "b")
@@ -533,24 +559,9 @@ def test_matrix_validation_rejects_bad_input():
         EmbeddingMatrix(vocab=("a",), values=np.zeros(3))
 
 
-# ------------------------------------------------- _parse_pair (compare's reader)
+# ------------------------------- _parse_halves (the reader of compare and analogy)
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-
-@pytest.fixture
-def pair_files(tmp_path):
-    left, right = tmp_path / "left.txt", tmp_path / "right.txt"
-    rng = np.random.default_rng(5)
-    write_glove_text(make_embedding(rng.standard_normal((3000, 40))), left)
-    # word2vec_text with a header, and a bit pattern the text round trip keeps
-    values = rng.standard_normal((2500, 40))
-    right.write_text(
-        "2500 40\n"
-        + "".join(f"w{i:06d} " + " ".join(map(repr, row)) + "\n"
-                  for i, row in enumerate(values.tolist()))
-    )
-    return left, right
 
 
 @pytest.fixture
@@ -564,97 +575,6 @@ def no_hang():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
-
-
-@needs_fork
-def test_parse_pair_is_bit_identical_to_serial_parses(pair_files, no_hang):
-    left, right = pair_files
-    got = embedding_io._parse_pair(left, right)
-    assert_no_child_left()
-    for matrix, path in zip(got, pair_files):
-        expected = parse_embedding(path)
-        assert matrix.vocab == expected.vocab
-        assert matrix.name == expected.name
-        assert matrix.values.shape == expected.values.shape
-        assert matrix.values.tobytes() == expected.values.tobytes()
-        assert not matrix.values.flags.writeable
-
-
-def test_parse_pair_without_fork_parses_in_order(pair_files, monkeypatch):
-    left, right = pair_files
-    if hasattr(os, "fork"):
-        monkeypatch.delattr(os, "fork")
-    calls = []
-    real = parse_embedding
-
-    def recording(source, format_hint="auto"):
-        calls.append(source)
-        return real(source, format_hint)
-
-    monkeypatch.setattr(embedding_io, "parse_embedding", recording)
-    got = embedding_io._parse_pair(left, right)
-    assert calls == [left, right]
-    assert [m.values.tobytes() for m in got] == [
-        real(p).values.tobytes() for p in (left, right)
-    ]
-
-
-@needs_fork
-def test_parse_pair_child_that_sends_nothing_fails_cleanly(pair_files, monkeypatch, no_hang):
-    left, right = pair_files
-    real = parse_embedding
-
-    def dies_on_left(source, format_hint="auto"):
-        if source == left:
-            os._exit(3)
-        return real(source, format_hint)
-
-    monkeypatch.setattr(embedding_io, "parse_embedding", dies_on_left)
-    with pytest.raises(ChildProcessError, match=re.escape(f"{left}: ")):
-        embedding_io._parse_pair(left, right)
-    assert_no_child_left()
-
-
-@needs_fork
-def test_parse_pair_child_cut_off_mid_matrix_fails_cleanly(pair_files, monkeypatch, no_hang):
-    # the header arrives but the values stop short: no hang, no partial matrix
-    left, right = pair_files
-    real_dump = pickle.dump
-
-    def dump_then_die(obj, pipe):
-        real_dump(obj, pipe)
-        if isinstance(obj, tuple):
-            pipe.write(b"\0" * 100)
-            pipe.flush()
-            os._exit(0)
-
-    monkeypatch.setattr(embedding_io.pickle, "dump", dump_then_die)
-    with pytest.raises(ChildProcessError, match=re.escape(f"{left}: ")):
-        embedding_io._parse_pair(left, right)
-    assert_no_child_left()
-
-
-@needs_fork
-def test_parse_pair_interrupted_parent_does_not_wait_on_a_blocked_child(
-    pair_files, monkeypatch, no_hang
-):
-    # the left matrix (960 KB) overfills the pipe, so the child blocks on
-    # write until the parent's read end closes and the write fails
-    left, right = pair_files
-    real = parse_embedding
-
-    def interrupted_on_right(source, format_hint="auto"):
-        if source == right:
-            raise KeyboardInterrupt
-        return real(source, format_hint)
-
-    monkeypatch.setattr(embedding_io, "parse_embedding", interrupted_on_right)
-    with pytest.raises(KeyboardInterrupt):
-        embedding_io._parse_pair(left, right)
-    assert_no_child_left()
-
-
-# ------------------------------------------------ _parse_halves (analogy's reader)
 
 
 def _rows_text(n=80, dims=3, *, header=False, blank=False, crlf=False,
@@ -796,3 +716,83 @@ def test_parse_halves_missing_file_raises_as_parse_embedding(tmp_path):
     with pytest.raises(FileNotFoundError) as got:
         embedding_io._parse_halves(path)
     assert str(got.value) == str(serial.value)
+
+
+def test_parse_halves_without_fork_parses_serially(tmp_path, halves, monkeypatch):
+    parse_halves, forked = halves
+    path = tmp_path / "emb.txt"
+    path.write_bytes(_rows_text())
+    if hasattr(os, "fork"):
+        monkeypatch.delattr(os, "fork")
+    calls = []
+    real = parse_embedding
+
+    def recording(source, format_hint="auto"):
+        calls.append(source)
+        return real(source, format_hint)
+
+    monkeypatch.setattr(embedding_io, "parse_embedding", recording)
+    got = parse_halves(path)
+    assert (calls, forked) == ([path], [])
+    assert got.values.tobytes() == real(path).values.tobytes()
+
+
+@needs_fork
+def test_parse_halves_survives_a_child_cut_off_mid_matrix(tmp_path, halves, monkeypatch, no_hang):
+    # the tail's header arrives but its values stop short: no hang, no
+    # partial matrix, and the serial parse gives the same matrix
+    parse_halves, forked = halves
+    path = tmp_path / "emb.txt"
+    path.write_bytes(_rows_text(header=True))
+    real_dump = pickle.dump
+
+    def dump_then_die(obj, pipe):
+        real_dump(obj, pipe)
+        if isinstance(obj, tuple):
+            pipe.write(b"\0" * 100)  # of the tail's 936 bytes of values
+            pipe.flush()
+            os._exit(0)
+
+    monkeypatch.setattr(embedding_io.pickle, "dump", dump_then_die)
+    got = parse_halves(path)
+    assert forked == [path]
+    assert_no_child_left()
+    expected = parse_embedding(path)
+    assert got.vocab == expected.vocab
+    assert got.values.tobytes() == expected.values.tobytes()
+
+
+@needs_fork
+def test_parse_halves_interrupted_parent_does_not_wait_on_a_blocked_child(
+    tmp_path, halves, monkeypatch, no_hang
+):
+    # the tail's values (640 KB) overfill the pipe, so the child blocks on
+    # write until the parent's read end closes and the write fails
+    parse_halves, forked = halves
+    path = tmp_path / "emb.txt"
+    path.write_bytes(_rows_text(n=4000, dims=40))
+    real = embedding_io._read
+
+    def interrupted_after_the_head(fh, format_hint, end=None):
+        got = real(fh, format_hint, end)
+        if end is not None:  # the parent's half; the child reads to the end
+            raise KeyboardInterrupt
+        return got
+
+    monkeypatch.setattr(embedding_io, "_read", interrupted_after_the_head)
+    with pytest.raises(KeyboardInterrupt):
+        parse_halves(path)
+    assert forked == [path]
+    assert_no_child_left()
+
+
+# ------------------------------------------------------ _at_once (synth's writer)
+
+
+@needs_fork
+def test_at_once_child_that_sends_nothing_fails_cleanly(tmp_path, no_hang):
+    right = tmp_path / "right.txt"
+    with pytest.raises(ChildProcessError, match=re.escape("left.txt: ")):
+        embedding_io._at_once(lambda: os._exit(3), right.touch, "left.txt")
+    assert right.exists()
+    assert_no_child_left()
