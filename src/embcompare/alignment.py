@@ -34,8 +34,9 @@ class Matching:
     matched position, in right-dimension order; ``zeta_1to1`` is their mean.
 
     When the matching was computed on absolute correlations,
-    ``abs_objective`` is True and the absolute values and their mean are
-    reported alongside the signed ones (both None otherwise).
+    ``abs_objective`` is True and ``zeta_abs_1to1``, the mean of
+    ``|matched_correlations|``, is reported beside ``zeta_1to1`` (None
+    otherwise).
     """
 
     assignment: np.ndarray
@@ -57,14 +58,10 @@ class Matching:
         return float(self.matched_correlations.mean())
 
     @property
-    def matched_abs_correlations(self) -> np.ndarray | None:
-        return np.abs(self.matched_correlations) if self.abs_objective else None
-
-    @property
     def zeta_abs_1to1(self) -> float | None:
         if not self.abs_objective:
             return None
-        return float(self.matched_abs_correlations.mean())
+        return float(np.abs(self.matched_correlations).mean())
 
     def sorted_matched(self) -> np.ndarray:
         """Matched correlations in descending order (the rank-plot view)."""
@@ -77,9 +74,6 @@ class Matching:
             "zeta_1to1": self.zeta_1to1,
         }
         if self.abs_objective:
-            d["matched_abs_correlations"] = [
-                float(v) for v in self.matched_abs_correlations
-            ]
             d["zeta_abs_1to1"] = self.zeta_abs_1to1
         return d
 

@@ -43,11 +43,15 @@ class CcaResult:
 
     ``correlations`` is descending with every entry in [0, 1], one per kept
     canonical pair (``k`` of them); ``zeta_cca`` is its mean.
+    ``dropped_left`` / ``dropped_right`` count the near-null directions each
+    side's whitening discarded before the fit.
     """
 
     correlations: np.ndarray
     regularization_left: float
     regularization_right: float
+    dropped_left: int = 0
+    dropped_right: int = 0
 
     def __post_init__(self):
         corr = np.asarray(self.correlations, dtype=np.float64)
@@ -70,18 +74,15 @@ class CcaResult:
     def k(self) -> int:
         return self.correlations.shape[0]
 
-    @property
-    def regularization(self) -> float:
-        return max(self.regularization_left, self.regularization_right)
-
     def to_json_dict(self) -> dict:
         return {
             "correlations": [float(v) for v in self.correlations],
             "zeta_cca": self.zeta_cca,
-            "regularization": self.regularization,
             "regularization_left": self.regularization_left,
             "regularization_right": self.regularization_right,
             "k": self.k,
+            "dropped_left": self.dropped_left,
+            "dropped_right": self.dropped_right,
         }
 
     def write_correlations_csv(self, dest: str | Path | IO) -> None:
@@ -159,8 +160,8 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
     else:
         ridge_left = ridge_right = float(regularization)
 
-    w_left, _ = _whitener(cov_xx, ridge_left, pair.left.name)
-    w_right, _ = _whitener(cov_yy, ridge_right, pair.right.name)
+    w_left, dropped_left = _whitener(cov_xx, ridge_left, pair.left.name)
+    w_right, dropped_right = _whitener(cov_yy, ridge_right, pair.right.name)
 
     core = w_left.T @ cov_xy @ w_right
     try:
@@ -177,4 +178,6 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
         correlations=np.minimum(s, 1.0),
         regularization_left=ridge_left,
         regularization_right=ridge_right,
+        dropped_left=dropped_left,
+        dropped_right=dropped_right,
     )

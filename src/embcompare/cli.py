@@ -87,10 +87,11 @@ def _read_questions(args) -> list[AnalogyQuestion]:
     return questions
 
 
-def cmd_compare(args) -> int:
-    # every input that needs no embedding is checked before one is parsed
-    check_bins(args.bins)
-    check_regularization(args.regularization)
+# kept in cli.py: perfbench/tracing.py traces the stages under this module's names
+def compare_report(args) -> dict:
+    """The ``compare`` report, each score stated once, without
+    ``generated_at``; writes the plot CSVs when ``args.plots_dir`` is set."""
+    # the questions file is checked before an embedding is parsed
     questions = _read_questions(args) if args.questions else None
     # the left file first, so its error wins when both are bad
     left = _parse_halves(args.left, args.format)
@@ -106,13 +107,9 @@ def cmd_compare(args) -> int:
     kappa_hist = histogram(kappa.values.ravel(), bins=args.bins, with_kde=args.kde)
     matching = one_to_one_score(kappa, use_abs=args.abs_correlation)
     cca_result = cca_fit(pair, regularization=args.regularization)
-
-    zeta = {"zeta_1to1": matching.zeta_1to1, "zeta_cca": cca_result.zeta_cca}
-
-    agreement_block = None
-    if questions is not None:
-        agreement = agreement_report(left, right, questions)
-        agreement_block = {**agreement.to_json_dict(), "scores": zeta}
+    agreement = (
+        None if questions is None else agreement_report(left, right, questions)
+    )
 
     if args.plots_dir:
         plots = Path(args.plots_dir)
@@ -145,8 +142,8 @@ def cmd_compare(args) -> int:
         "questions": args.questions,
         "lowercase": args.lowercase,
     }
-    report = {
-        "tool": _tool_block(),
+    return {
+        "tool": {**_tool_block(), "schema": 2},
         "config": config,
         "inputs": {
             "left": {"name": left.name, "words": left.n_words, "dims": left.n_dims},
@@ -156,37 +153,43 @@ def cmd_compare(args) -> int:
             "dropped_right": pair.dropped_right,
         },
         "kappa": {
-            "median": kappa_hist.median,
             "histogram": kappa_hist.to_json_dict(),
             "degenerate_left": list(kappa.degenerate_left),
             "degenerate_right": list(kappa.degenerate_right),
         },
-        "one_to_one": {
-            **matching.to_json_dict(),
-            "matched_correlations_sorted": [
-                float(v) for v in matching.sorted_matched()
-            ],
-        },
+        "one_to_one": matching.to_json_dict(),
         "cca": cca_result.to_json_dict(),
-        "zeta": zeta,
-        "analogy_agreement": agreement_block,
+        "analogy_agreement": None if agreement is None else agreement.to_json_dict(),
     }
+
+
+def cmd_compare(args) -> int:
+    check_bins(args.bins)
+    check_regularization(args.regularization)
+    report = compare_report(args)
     if not args.no_timestamp:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     _emit(report, args.out)
 
+    # the summary reads the emitted report, so the two cannot disagree
+    inputs, one, cca = report["inputs"], report["one_to_one"], report["cca"]
+    left, right = inputs["left"], inputs["right"]
     _note(
-        f"{left.name} ({left.n_words} x {left.n_dims})  vs  "
-        f"{right.name} ({right.n_words} x {right.n_dims})",
-        f"shared vocabulary: {pair.shared_count} "
-        f"(dropped {pair.dropped_left} left, {pair.dropped_right} right)",
-        f"kappa median:      {kappa_hist.median:+.4f}",
-        f"zeta_1to1:         {matching.zeta_1to1:+.4f}",
-        f"zeta_cca:          {cca_result.zeta_cca:+.4f}  "
-        f"(k={cca_result.k}, ridge={cca_result.regularization:.3g})",
+        f"{left['name']} ({left['words']} x {left['dims']})  vs  "
+        f"{right['name']} ({right['words']} x {right['dims']})",
+        f"shared vocabulary: {inputs['shared_vocabulary']} "
+        f"(dropped {inputs['dropped_left']} left, {inputs['dropped_right']} right)",
+        f"kappa median:      {report['kappa']['histogram']['median']:+.4f}",
+        f"zeta_1to1:         {one['zeta_1to1']:+.4f}",
     )
-    if agreement_block is not None:
-        _note(f"analogy alpha:     {agreement_block['alpha']:+.4f}")
+    if "zeta_abs_1to1" in one:
+        _note(f"zeta_abs_1to1:     {one['zeta_abs_1to1']:+.4f}")
+    _note(
+        f"zeta_cca:          {cca['zeta_cca']:+.4f}  (k={cca['k']}, "
+        f"ridge={cca['regularization_left']:.3g}/{cca['regularization_right']:.3g})"
+    )
+    if report["analogy_agreement"] is not None:
+        _note(f"analogy alpha:     {report['analogy_agreement']['alpha']:+.4f}")
     return 0
 
 
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--abs-correlation",
         action="store_true",
         help="match dimensions on |correlation| (sign-flip symmetry); "
-        "reports signed and absolute matched values",
+        "reports zeta_abs_1to1 beside the signed zeta_1to1",
     )
     p.add_argument(
         "--regularization",

@@ -237,6 +237,7 @@ def test_singular_covariance_at_zero_ridge_errors():
     with pytest.warns(UserWarning, match="dropping"):
         result = cca_fit(align_vocabularies(dup, other))
     assert result.k == 2
+    assert (result.dropped_left, result.dropped_right) == (1, 0)
     # an explicit ridge well above the null eigenvalue keeps all directions
     assert cca_fit(align_vocabularies(dup, other), regularization=1e-6).k == 3
 
@@ -250,6 +251,7 @@ def test_tiny_ridge_drops_null_directions():
     with pytest.warns(UserWarning, match="dropping"):
         result = cca_fit(align_vocabularies(dup, other), regularization=1e-300)
     assert result.k == 2
+    assert (result.dropped_left, result.dropped_right) == (1, 0)
 
 
 def test_warns_when_rows_do_not_exceed_dims():
@@ -277,6 +279,6 @@ def test_json_serialization():
     result = cca_fit(_self_pair(e), regularization=0.25)
     doc = json.loads(json.dumps(result.to_json_dict()))
     assert doc["k"] == 5
-    assert doc["regularization"] == 0.25
+    assert doc["regularization_left"] == doc["regularization_right"] == 0.25
     assert len(doc["correlations"]) == 5
     assert doc["zeta_cca"] == pytest.approx(np.mean(doc["correlations"]))

@@ -164,10 +164,12 @@ def test_compare_self_is_perfect(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads(out_file.read_text())
-    assert report["zeta"]["zeta_1to1"] == pytest.approx(1.0, abs=1e-9)
-    assert report["zeta"]["zeta_cca"] == pytest.approx(1.0, abs=1e-6)
+    zeta_1to1 = report["one_to_one"]["zeta_1to1"]
+    zeta_cca = report["cca"]["zeta_cca"]
+    assert zeta_1to1 == pytest.approx(1.0, abs=1e-9)
+    assert zeta_cca == pytest.approx(1.0, abs=1e-6)
     assert report["inputs"]["shared_vocabulary"] == 300
-    assert report["zeta"]["zeta_cca"] >= report["zeta"]["zeta_1to1"] - 1e-6
+    assert zeta_cca >= zeta_1to1 - 1e-6
     assert "zeta_1to1" in err
     assert_no_child_left()
 
@@ -463,9 +465,100 @@ def test_compare_abs_correlation_reports_both(synth_files, tmp_path, capsys):
     )
     assert code == 0
     block = json.loads(out.read_text())["one_to_one"]
-    assert "matched_abs_correlations" in block
-    assert "zeta_abs_1to1" in block
+    # the absolute values are |matched_correlations|, so only their mean is kept
+    assert "matched_abs_correlations" not in block
+    assert block["zeta_abs_1to1"] == np.abs(block["matched_correlations"]).mean()
     assert block["zeta_abs_1to1"] >= block["zeta_1to1"] - 1e-12
+
+
+COMPARE_KEYS = {
+    "": ["tool", "config", "inputs", "kappa", "one_to_one", "cca", "analogy_agreement"],
+    "tool": ["name", "version", "schema"],
+    "config": [
+        "left", "right", "format", "abs_correlation", "regularization", "bins",
+        "kde", "questions", "lowercase",
+    ],
+    "inputs": [
+        "left", "right", "shared_vocabulary", "dropped_left", "dropped_right",
+    ],
+    "inputs.left": ["name", "words", "dims"],
+    "inputs.right": ["name", "words", "dims"],
+    "kappa": ["histogram", "degenerate_left", "degenerate_right"],
+    "kappa.histogram": ["bin_edges", "counts", "median"],
+    "one_to_one": ["assignment", "matched_correlations", "zeta_1to1"],
+    "cca": [
+        "correlations", "zeta_cca", "regularization_left", "regularization_right",
+        "k", "dropped_left", "dropped_right",
+    ],
+}
+AGREEMENT_KEYS = [
+    "alpha", "n_items", "n_excluded", "n_agreements", "degenerate", "left",
+    "right", "disagreements",
+]
+
+
+@pytest.mark.parametrize("options", [[], ["--abs-correlation"], ["--questions"]])
+def test_compare_report_states_each_fact_once(synth_files, tmp_path, capsys, options):
+    # every block's keys are pinned, so a copy of a score added back fails here
+    left, right = synth_files
+    if options == ["--questions"]:
+        q_path = tmp_path / "questions.txt"
+        q_path.write_text(": c\nw000001 w000002 w000003 w000004\n", encoding="utf-8")
+        options = ["--questions", q_path]
+    out = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "compare", left, right, "--no-timestamp", *options, "--out", out
+    )
+    assert code == 0, err
+    report = json.loads(out.read_text())
+    expected = dict(COMPARE_KEYS)
+    if "--abs-correlation" in options:
+        expected["one_to_one"] = [*expected["one_to_one"], "zeta_abs_1to1"]
+    for path, keys in expected.items():
+        block = report
+        for part in filter(None, path.split(".")):
+            block = block[part]
+        assert list(block) == keys, path
+    assert report["tool"]["schema"] == 2
+    agreement = report["analogy_agreement"]
+    if "--questions" in options:
+        assert list(agreement) == AGREEMENT_KEYS
+    else:
+        assert agreement is None
+
+
+@pytest.mark.parametrize("options", [[], ["--abs-correlation"]])
+def test_compare_summary_matches_report(tmp_path, capsys, options):
+    # a mixed pair: the two sides get different automatic ridges
+    left, right = tmp_path / "l.txt", tmp_path / "r.txt"
+    code, _, err = run(
+        capsys, "synth", "--rows", "300", "--dims", "6", "--seed", "3",
+        "--transform", "linear", "--sigma", "0.5",
+        "--out-left", left, "--out-right", right,
+    )
+    assert code == 0, err
+    out = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "compare", left, right, "--no-timestamp", *options, "--out", out
+    )
+    assert code == 0, err
+    report = json.loads(out.read_text())
+    one, cca = report["one_to_one"], report["cca"]
+    lines = dict(line.split(":", 1) for line in err.splitlines()[2:])
+    expected = {
+        "kappa median": report["kappa"]["histogram"]["median"],
+        "zeta_1to1": one["zeta_1to1"],
+        "zeta_cca": cca["zeta_cca"],
+    }
+    if options:
+        expected["zeta_abs_1to1"] = one["zeta_abs_1to1"]
+    assert set(lines) == set(expected)
+    for name, value in expected.items():
+        assert float(lines[name].split()[0]) == round(value, 4), name
+    ridge = lines["zeta_cca"].split("ridge=")[1].rstrip(")")
+    assert ridge == f"{cca['regularization_left']:.3g}/{cca['regularization_right']:.3g}"
+    assert cca["regularization_left"] != cca["regularization_right"]
+    assert f"k={cca['k']}," in lines["zeta_cca"]
 
 
 @pytest.mark.parametrize(
@@ -503,8 +596,7 @@ def test_compare_with_questions_adds_agreement(tmp_path, capsys):
         "--questions", q_path, "--out", out,
     )
     assert code == 0
-    report = json.loads(out.read_text())
-    agreement = report["analogy_agreement"]
+    agreement = json.loads(out.read_text())["analogy_agreement"]
     assert agreement["alpha"] == 1.0
     assert agreement["n_agreements"] == len(questions)
     assert agreement["degenerate"] is False
@@ -512,9 +604,6 @@ def test_compare_with_questions_adds_agreement(tmp_path, capsys):
         "alpha", "n_items", "n_excluded", "n_agreements", "degenerate"
     ]
     assert agreement["disagreements"] == []
-    # the echoed scores are the ones computed by this very run
-    assert agreement["scores"]["zeta_1to1"] == report["zeta"]["zeta_1to1"]
-    assert agreement["scores"]["zeta_cca"] == report["zeta"]["zeta_cca"]
 
 
 @pytest.mark.filterwarnings("ignore:dropping")
@@ -575,13 +664,10 @@ def test_compare_with_questions_lists_disagreements(tmp_path, capsys):
         "--questions", q_path, "--out", out,
     )
     assert code == 0
-    report = json.loads(out.read_text())
-    agreement = report["analogy_agreement"]
+    agreement = json.loads(out.read_text())["analogy_agreement"]
     assert agreement["disagreements"] == SWAPPED_DISAGREEMENTS
     for entry in agreement["disagreements"]:
         assert list(entry) == DISAGREEMENT_KEYS
-    assert list(agreement)[-1] == "scores"
-    assert agreement["scores"] == report["zeta"]
 
 
 def test_agreement_lists_disagreements(tmp_path, capsys):
