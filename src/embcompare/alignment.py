@@ -3,18 +3,21 @@
 The score of a matching ``a`` is the mean of the matched correlations
 ``kappa[a_d, d]``; the solver finds the permutation maximizing that mean.
 The maximization is run as a minimization of ``max_entry - w`` through
-``scipy.optimize.linear_sum_assignment`` (Crouse 2016), O(D^3).
+``scipy.sparse.csgraph.min_weight_full_bipartite_matching`` (LAPJVsp,
+Jonker & Volgenant 1987), O(D^3) on the dense grid.  The tie pass imports
+``scipy.sparse.csgraph`` anyway, so ``scipy.optimize`` is never loaded.
 
 Tie handling: among equal-weight optima the lexicographically smallest
 assignment is returned, so reports are reproducible across platforms and
 do not depend on which optimum the solver lands on.  The tie pass needs
-dual potentials, which scipy does not return; they are recovered from its
-optimal assignment as shortest-path distances over the columns
+dual potentials, which the solver does not return; they are recovered from
+its optimal assignment as shortest-path distances over the columns
 (Bellman-Ford), and every optimum is then a perfect matching on the edges
 those potentials make tight.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -228,11 +231,16 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
     matched to column ``d`` and the permutation maximizes
     ``sum(weights[assignment[d], d])``.
 
-    Optimality is exact for the cost scipy minimises, ``w.max() - w``.  That
-    cost rounds differently from the plain sum of ``w``, so on weights whose
-    sums round (a 0.1-step grid, say) ``total_weight`` can trail the
-    brute-force plain-sum maximum by at most ``n**2 * eps * max|w|``, with
-    ``n`` the matrix size and ``eps`` the float64 machine epsilon.
+    Optimality is exact for the cost the solver minimises, ``w.max() - w``
+    with each exact zero lifted to ``2**-1074`` (csgraph drops stored
+    zeros, which would remove those edges).  That cost rounds differently
+    from the plain sum of ``w``, so on weights whose sums round (a 0.1-step
+    grid, say) ``total_weight`` can trail the brute-force plain-sum maximum
+    by at most ``n**2 * eps * max|w| + n * 2**-1074``, with ``n`` the matrix
+    size and ``eps`` the float64 machine epsilon.
+
+    Raises ``ValueError`` naming the range when ``w.max() - w.min()``
+    overflows float64 (``[[1.7e308, 0], [0, -1.7e308]]``).
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -241,11 +249,16 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError("weight matrix is empty")
     if not np.isfinite(w).all():
         raise ValueError("weight matrix contains non-finite entries")
+    lo, hi = float(w.min()), float(w.max())
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"weight range [{lo!r}, {hi!r}] is wider than float64 can hold")
 
-    from scipy.optimize import linear_sum_assignment  # slow import: load on use
+    from scipy.sparse import csr_array  # slow imports: load on use
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    cost = w.max() - w
-    col_to_row = np.argsort(linear_sum_assignment(cost)[1])  # rows come sorted
+    cost = hi - w
+    lifted = csr_array(np.where(cost == 0, np.finfo(np.float64).smallest_subnormal, cost))
+    col_to_row = np.argsort(min_weight_full_bipartite_matching(lifted)[1])  # rows come sorted
     tight = _tight_edges(cost, col_to_row)
     assignment = _lexicographically_smallest(w, col_to_row, tight)
     total = float(w[assignment, np.arange(w.shape[0])].sum())

@@ -7,9 +7,9 @@ Subcommands:
 * ``agreement`` -- Krippendorff's alpha between two answer files
 * ``synth``     -- generate a synthetic embedding pair with ground truth
 
-JSON goes to stdout (or ``--out``); a short human-readable summary goes to
-stderr.  Exit codes: 0 success, 1 input or validation error, 2 internal
-numerical failure.
+``compare``, ``analogy`` and ``agreement`` write JSON to stdout (or
+``--out``); a short human-readable summary goes to stderr.  Exit codes:
+0 success, 1 input or validation error, 2 internal numerical failure.
 """
 from __future__ import annotations
 
@@ -39,9 +39,8 @@ from .cca import NumericalError, cca_fit, check_regularization
 from .column_stats import DEFAULT_BINS, check_bins, correlation_matrix, histogram
 from .embedding_io import (
     _at_once,
-    _parse_halves,
     align_vocabularies,
-    parse_embedding,  # unused here, but perfbench/tracing.py wraps it on this module
+    parse_embedding,
     write_glove_text,
 )
 from .synthgen import (
@@ -94,8 +93,8 @@ def compare_report(args) -> dict:
     # the questions file is checked before an embedding is parsed
     questions = _read_questions(args) if args.questions else None
     # the left file first, so its error wins when both are bad
-    left = _parse_halves(args.left, args.format)
-    right = _parse_halves(args.right, args.format)
+    left = parse_embedding(args.left, args.format)
+    right = parse_embedding(args.right, args.format)
     if left.n_dims != right.n_dims:
         raise ValueError(
             f"{args.left} has {left.n_dims} dimensions but {args.right} has "
@@ -195,7 +194,7 @@ def cmd_compare(args) -> int:
 
 def cmd_analogy(args) -> int:
     questions = _read_questions(args)
-    emb = _parse_halves(args.embedding, args.format)
+    emb = parse_embedding(args.embedding, args.format)
     report = evaluate(emb, questions)
     if args.answers_csv:
         write_answers_csv(questions, report.answers, args.answers_csv)
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, json_out=True):
         p.add_argument(
             "--threads",
             type=int,
@@ -314,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="accepted for existing command lines and ignored: analogy "
             "scoring is threaded by BLAS",
         )
-        p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+        if json_out:
+            p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("compare", help="compare two embedding files end to end")
     p.add_argument("left")
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-left", required=True)
     p.add_argument("--out-right", required=True)
     p.add_argument("--truth", default=None, help="write ground-truth JSON here")
-    common(p)
+    common(p, json_out=False)
     p.set_defaults(func=cmd_synth)
     return parser
 

@@ -17,12 +17,11 @@ as ``1_000`` that ``float()`` takes and the C reader does not) or raises the
 first error with its line number.  Memory is the matrix (in a buffer that
 doubles as it fills and is trimmed once) plus one block.
 
-The commands put their text I/O on two cores through one fork helper,
-:func:`_forked`: ``compare`` and ``analogy`` parse each large file in two
-halves, the second in a child (:func:`_parse_halves`; ``compare`` reads its
-left file first), and ``synth`` writes its two files at once
-(:func:`_at_once`).  The public :func:`parse_embedding` and
-:func:`write_glove_text` never fork.
+Text I/O goes on two cores through one fork helper, :func:`_forked`:
+:func:`parse_embedding` reads a large file in two halves, the second in a
+child (:func:`_joined_halves`; ``compare`` reads its left file first), and
+``synth`` writes its two files at once (:func:`_at_once`).
+:func:`write_glove_text` never forks.
 """
 from __future__ import annotations
 
@@ -40,7 +39,6 @@ from typing import (
     Callable,
     Iterable,
     Iterator,
-    NamedTuple,
     NoReturn,
     Sequence,
 )
@@ -54,7 +52,7 @@ _COVARIANCE_CHUNK = 2048
 # Lines per bulk conversion in parse_embedding: about this many bytes of them.
 _BLOCK_BYTES = 1 << 20
 
-# _parse_halves splits only files of more than this many blocks.
+# parse_embedding splits only files of more than this many blocks.
 _SPLIT_BLOCKS = 4
 
 # Rows per formatted block in write_glove_text.
@@ -338,12 +336,25 @@ def parse_embedding(
     first line parses as two positive integers.  Duplicate words, ragged
     rows, non-finite values and empty files are all hard errors; a
     :class:`ParseError` from a path starts with that path.
+
+    A path of more than ``_SPLIT_BLOCKS`` blocks (4 MiB) is parsed in two
+    halves, the second in a forked child (:func:`_joined_halves`).  Any
+    failure of the split parse is answered by a serial parse of the whole
+    file, which raises the usual error with the usual line number.  Handles,
+    smaller files and systems without ``os.fork`` are parsed serially.
     """
     if format_hint not in _FORMATS:
         raise ValueError(f"unknown format_hint {format_hint!r}")
     is_path = isinstance(source, (str, Path))
     if name is None:
         name = Path(source).stem if is_path else "embedding"
+    if is_path:
+        try:
+            joined = _joined_halves(source, format_hint, name)
+        except Exception:
+            joined = None
+        if joined is not None:
+            return joined
     try:
         return _parse(source, format_hint, name)
     except ParseError as exc:
@@ -432,37 +443,21 @@ def _finish(
     return EmbeddingMatrix(vocab=vocab, values=values, name=name)
 
 
-def _parse_halves(path: str | Path, format_hint: str = "auto") -> EmbeddingMatrix:
-    """:func:`parse_embedding` of ``path``, its second half in a forked child.
+def _joined_halves(
+    path: str | Path, format_hint: str, name: str
+) -> EmbeddingMatrix | None:
+    """:func:`parse_embedding`'s split parse; ``None`` where it does not split.
 
-    ``compare`` reads each of its files this way, the left one first, and
-    ``analogy`` its one file.  A file of more than ``_SPLIT_BLOCKS`` blocks
-    (4 MiB) is cut at the first line start after its midpoint.  The parent
+    The file is cut at the first line start after its midpoint.  The parent
     parses the lines before the cut, the child the lines after it (as
     ``glove_text``, so the width comes from its first row), and the parent
     reads the child's rows straight into its own buffer, so the copy in
-    flight is half a matrix.  Every failure, in either half or in joining
-    them (a width that differs, a word in both halves, a header count that
-    disagrees, a child that ends without a whole result), is answered by a
-    serial parse of the whole file, which raises the usual error with the
-    usual line number.  Smaller files, and systems without ``os.fork``, are
-    parsed serially.
+    flight is half a matrix.  A width that differs, a word in both halves,
+    a header count that disagrees or a child that ends without a whole
+    result raises.
     """
-    try:
-        joined = _joined_halves(path, format_hint)
-    except Exception:
-        joined = None
-    return joined if joined is not None else parse_embedding(path, format_hint)
-
-
-def _joined_halves(path: str | Path, format_hint: str) -> EmbeddingMatrix | None:
-    """:func:`_parse_halves`' split parse; ``None`` where it does not split."""
     size = os.path.getsize(path)
-    if (
-        not hasattr(os, "fork")
-        or format_hint not in _FORMATS
-        or size <= _SPLIT_BLOCKS * _BLOCK_BYTES
-    ):
+    if not hasattr(os, "fork") or size <= _SPLIT_BLOCKS * _BLOCK_BYTES:
         return None
     with open(path, "rb") as fh:
         fh.seek(size // 2)
@@ -471,21 +466,21 @@ def _joined_halves(path: str | Path, format_hint: str) -> EmbeddingMatrix | None
         fh.seek(0)
         with _forked(partial(_tail_rows, path, split), path) as receive:
             header, n_dims, values, seen = _read(fh, format_hint, end=split)
+            tail_vocab, tail_dims = receive()
+            if tail_vocab and tail_dims != n_dims:
+                raise ParseError("the two halves differ in width")
             n = len(seen)
-
-            def into_tail(shape: tuple[int, ...], dtype: str) -> np.ndarray:
-                if shape[0] and shape[1:] != (n_dims,):
-                    raise ParseError("the two halves differ in width")
-                values.resize((n + shape[0], n_dims), refcheck=False)
-                return values[n:]
-
-            tail_vocab = receive(into_tail)[0]
+            values.resize((n + len(tail_vocab), n_dims), refcheck=False)
+            receive(values[n:])
     # a word in both halves fails EmbeddingMatrix's duplicate check
-    return _finish(header, n_dims, values, tuple(seen) + tail_vocab, Path(path).stem)
+    return _finish(header, n_dims, values, tuple(seen) + tail_vocab, name)
 
 
-def _tail_rows(path: str | Path, start: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """The child's half of :func:`_parse_halves`: the rows from byte ``start`` on.
+def _tail_rows(
+    path: str | Path, start: int
+) -> tuple[tuple[tuple[str, ...], int], np.ndarray]:
+    """The child's half of :func:`_joined_halves`: ``((vocab, n_dims), rows)``
+    for the rows from byte ``start`` on.
 
     Its line numbers count from ``start``, but its errors are never shown:
     the parent answers any of them with a serial parse.
@@ -494,7 +489,7 @@ def _tail_rows(path: str | Path, start: int) -> tuple[tuple[str, ...], np.ndarra
         fh.seek(start)
         _, n_dims, values, seen = _read(fh, "glove_text")
     values.resize((len(seen), n_dims), refcheck=False)
-    return tuple(seen), values
+    return (tuple(seen), n_dims), values
 
 
 def _at_once(left: Callable[[], None], right: Callable[[], None], label) -> None:
@@ -508,7 +503,7 @@ def _at_once(left: Callable[[], None], right: Callable[[], None], label) -> None
         left()
         right()
         return
-    with _forked(left, label) as receive:
+    with _forked(lambda: (left(), None), label) as receive:
         try:
             right()
         except Exception:
@@ -517,27 +512,22 @@ def _at_once(left: Callable[[], None], right: Callable[[], None], label) -> None
         receive()
 
 
-class _Raw(NamedTuple):
-    """Stands in a child's pickled result for an array sent raw after it."""
-
-    shape: tuple[int, ...]
-    dtype: str
-
-
 @contextmanager
-def _forked(call: Callable[[], object], label) -> Iterator[Callable[..., object]]:
+def _forked(
+    call: Callable[[], tuple[object, np.ndarray | None]], label
+) -> Iterator[Callable[..., object]]:
     """Run ``call()`` in a forked child; yield ``receive`` for its result.
 
     numpy's C reader and Python's ``%`` formatting hold the GIL, so a second
     thread would not help; a forked child works on the second core and
     needs no fresh interpreter.  OpenBLAS's fork handler stops its thread
     pool, so the process forks with one thread (Python 3.12 warns on a fork
-    with more).  The child sends back the pickled exception, or the pickled
-    result with each top-level ndarray of a tuple result sent raw after the
-    pickle, then ends in ``os._exit``.
+    with more).  ``call()`` returns ``(head, rows)``: the child sends back
+    the pickled exception it raised, or the pickled ``head`` followed by
+    ``rows`` raw when they are an ndarray, then ends in ``os._exit``.
 
-    ``receive(out)`` raises the child's exception or returns its result;
-    ``out(shape, dtype)`` gives the array each raw one is read into.
+    ``receive()`` raises the child's exception or returns its ``head``;
+    ``receive(into)`` then reads the raw rows into the array ``into``.
     A child that sends no whole result raises :class:`ChildProcessError`
     naming ``label``.  The child is always reaped on exit; the pipe is
     closed first, so a child blocked on writing gets EPIPE and ends.
@@ -560,50 +550,39 @@ def _forked(call: Callable[[], object], label) -> Iterator[Callable[..., object]
         os.waitpid(pid, 0)
 
 
-def _send(fd: int, call: Callable[[], object]) -> NoReturn:
+def _send(fd: int, call: Callable[[], tuple[object, np.ndarray | None]]) -> NoReturn:
     """The child's side of :func:`_forked`; always ends in ``os._exit``."""
     status = 1
     try:
         with open(fd, "wb") as pipe:
             try:
-                result = call()
+                head, rows = call()
             except Exception as exc:
                 pickle.dump(exc, pipe)
             else:
-                arrays = []
-                if isinstance(result, tuple):
-                    arrays = [x for x in result if isinstance(x, np.ndarray)]
-                    result = tuple(
-                        _Raw(x.shape, x.dtype.str) if isinstance(x, np.ndarray) else x
-                        for x in result
-                    )
-                pickle.dump(result, pipe)
-                for x in arrays:
-                    pipe.write(np.ascontiguousarray(x).data)
+                pickle.dump(head, pipe)
+                if isinstance(rows, np.ndarray):
+                    pipe.write(np.ascontiguousarray(rows).data)
         status = 0
     finally:
         os._exit(status)
 
 
-def _receive(pipe: BinaryIO, label, out: Callable[..., np.ndarray] | None = None):
-    """Read one result of :func:`_send`: return it, or raise its exception."""
+def _receive(pipe: BinaryIO, label, into: np.ndarray | None = None):
+    """Read the head of a result of :func:`_send`, returning it or raising
+    its exception; or, given ``into``, fill it from the raw rows after it."""
     lost = ChildProcessError(f"{label}: the process handling it ended without a result")
+    if into is not None:
+        if pipe.readinto(into.data) != into.nbytes:
+            raise lost
+        return None
     try:
         head = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
         raise lost from None
     if isinstance(head, Exception):
         raise head
-    if not isinstance(head, tuple):
-        return head
-    result = []
-    for x in head:
-        if isinstance(x, _Raw):
-            x = out(x.shape, x.dtype)
-            if pipe.readinto(x.data) != x.nbytes:
-                raise lost
-        result.append(x)
-    return tuple(result)
+    return head
 
 
 def write_glove_text(e: EmbeddingMatrix, dest: str | Path | IO) -> None:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import embcompare
 from embcompare import (
     align_vocabularies,
     correlation_matrix,
@@ -159,6 +164,27 @@ def test_input_validation():
         max_weight_assignment(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="empty"):
         max_weight_assignment(np.zeros((0, 0)))
+
+
+def test_weight_range_wider_than_float64_is_rejected():
+    # max - w would overflow to inf and reach the solver as an infinite cost
+    with pytest.raises(ValueError, match=r"weight range \[-1\.7e\+308, 1\.7e\+308\]"):
+        max_weight_assignment(np.array([[1.7e308, 0.0], [0.0, -1.7e308]]))
+
+
+def test_solve_does_not_import_scipy_optimize():
+    # scipy.optimize costs about twice the import of scipy.sparse.csgraph
+    probe = (
+        "import sys, numpy as np\n"
+        "from embcompare.alignment import max_weight_assignment\n"
+        "max_weight_assignment(np.array([[1.0, 1.0], [1.0, 0.0]]))\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = str(Path(embcompare.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_one_to_one_requires_square():

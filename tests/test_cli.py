@@ -85,6 +85,17 @@ def test_synth_non_finite_sigma_exits_one(tmp_path, capsys):
         assert not any(path.exists() for path in outputs)
 
 
+def test_synth_has_no_out_option(tmp_path, capsys):
+    # synth writes no JSON report, so --out would name a file never written
+    code, _, err = run(
+        capsys, "synth", "--rows", "5", "--dims", "3", "--out-left", tmp_path / "l.txt",
+        "--out-right", tmp_path / "r.txt", "--out", tmp_path / "x.json",
+    )
+    assert code == 1
+    assert "--out" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_synth_files_match_the_library_writer(tmp_path, capsys):
     left, right, truth = tmp_path / "l.txt", tmp_path / "r.txt", tmp_path / "t.json"
     code, _, _ = run(
@@ -328,13 +339,37 @@ def test_compare_checks_questions_before_parsing(tmp_path, capsys, monkeypatch, 
     def no_parse(*args, **kwargs):
         raise AssertionError("embedding parsed before the question file was checked")
 
-    monkeypatch.setattr("embcompare.cli._parse_halves", no_parse)
+    monkeypatch.setattr("embcompare.cli.parse_embedding", no_parse)
     code, _, err = run(
         capsys, "compare", tmp_path / "left.txt", tmp_path / "right.txt",
         "--questions", q_path,
     )
     assert code == 1
     assert problem in err
+
+
+def test_commands_read_through_cli_parse_embedding(tmp_path, capsys, monkeypatch):
+    # the one reader, under the name on cli that the benchmark's tracer wraps
+    left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+    write_glove_text(random_embedding(20, 3, 1), left)
+    write_glove_text(random_embedding(20, 3, 2), right)
+    q_path = tmp_path / "questions.txt"
+    q_path.write_text(": c\nw000001 w000002 w000003 w000004\n")
+    calls = []
+    real = embcompare.cli.parse_embedding
+
+    def recording(source, *args, **kwargs):
+        calls.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr("embcompare.cli.parse_embedding", recording)
+    code, _, _ = run(capsys, "compare", left, right, "--out", tmp_path / "r.json")
+    assert code == 0
+    assert calls == [str(left), str(right)]
+    calls.clear()
+    code, _, _ = run(capsys, "analogy", left, q_path, "--out", tmp_path / "a.json")
+    assert code == 0
+    assert calls == [str(left)]
 
 
 def test_every_subcommand_accepts_threads_flag(tmp_path, capsys):

@@ -559,7 +559,7 @@ def test_matrix_validation_rejects_bad_input():
         EmbeddingMatrix(vocab=("a",), values=np.zeros(3))
 
 
-# ------------------------------- _parse_halves (the reader of compare and analogy)
+# ---------------------------- parse_embedding in two halves (large files)
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -596,7 +596,8 @@ def _rows_text(n=80, dims=3, *, header=False, blank=False, crlf=False,
 
 @pytest.fixture
 def halves(monkeypatch):
-    """``_parse_halves`` with 64-byte blocks; returns it and the splits it forked."""
+    """64-byte blocks, so ``parse_embedding`` splits every test file; returns
+    it and the splits it forked."""
     monkeypatch.setattr(embedding_io, "_BLOCK_BYTES", 64)
     forked = []
     real = embedding_io._forked
@@ -606,7 +607,12 @@ def halves(monkeypatch):
         return real(call, label)
 
     monkeypatch.setattr(embedding_io, "_forked", recording)
-    return embedding_io._parse_halves, forked
+    return parse_embedding, forked
+
+
+def _serial(path: Path, name: str | None = None) -> EmbeddingMatrix:
+    """The reference for a split parse: the whole file in one process."""
+    return embedding_io._parse(path, "auto", path.stem if name is None else name)
 
 
 @needs_fork
@@ -628,11 +634,22 @@ def test_parse_halves_equals_a_serial_parse(tmp_path, halves, options, no_hang):
     got = parse_halves(path)
     assert forked == [path]
     assert_no_child_left()
-    expected = parse_embedding(path)
+    expected = _serial(path)
     assert got.vocab == expected.vocab
     assert got.values.tobytes() == expected.values.tobytes()
     assert got.name == expected.name == "emb"
     assert not got.values.flags.writeable
+
+
+@needs_fork
+def test_parse_halves_keeps_the_name_given(tmp_path, halves, no_hang):
+    parse_halves, forked = halves
+    path = tmp_path / "emb.txt"
+    path.write_bytes(_rows_text())
+    got = parse_halves(path, name="run1")
+    assert forked == [path]
+    assert got.name == "run1"
+    assert got.values.tobytes() == _serial(path).values.tobytes()
 
 
 @needs_fork
@@ -644,14 +661,23 @@ def test_parse_halves_with_the_midpoint_in_the_last_line(tmp_path, halves, no_ha
     got = parse_halves(path)
     assert forked == [path]
     assert got.vocab == ("short", "long")
-    assert got.values.tobytes() == parse_embedding(path).values.tobytes()
+    assert got.values.tobytes() == _serial(path).values.tobytes()
 
 
 def test_parse_halves_parses_a_small_file_in_one_process(tmp_path, halves):
     parse_halves, forked = halves
     path = tmp_path / "small.txt"
     path.write_bytes(_rows_text(n=5))
-    assert parse_halves(path).vocab == parse_embedding(path).vocab
+    assert parse_halves(path).vocab == _serial(path).vocab
+    assert forked == []
+
+
+def test_parse_halves_reads_a_handle_in_one_process(tmp_path, halves):
+    parse_halves, forked = halves
+    path = tmp_path / "emb.txt"
+    path.write_bytes(_rows_text())
+    with open(path, "rb") as fh:
+        assert parse_halves(fh).vocab == _serial(path).vocab
     assert forked == []
 
 
@@ -688,11 +714,10 @@ def test_parse_halves_errors_match_a_serial_parse(tmp_path, halves, fault, no_ha
     path = tmp_path / "bad.txt"
     path.write_bytes(_fault(_rows_text(header=fault == "header_count"), fault))
     with pytest.raises(ParseError) as serial:
-        parse_embedding(path)
-    assert str(serial.value).startswith(f"{path}: ")
+        _serial(path)
     with pytest.raises(ParseError) as got:
         parse_halves(path)
-    assert str(got.value) == str(serial.value)
+    assert str(got.value) == f"{path}: {serial.value}"
     assert forked == [path]
     assert_no_child_left()
 
@@ -706,15 +731,15 @@ def test_parse_halves_survives_a_child_that_sends_nothing(tmp_path, halves, monk
     got = parse_halves(path)
     assert forked == [path]
     assert_no_child_left()
-    assert got.values.tobytes() == parse_embedding(path).values.tobytes()
+    assert got.values.tobytes() == _serial(path).values.tobytes()
 
 
 def test_parse_halves_missing_file_raises_as_parse_embedding(tmp_path):
     path = tmp_path / "missing.txt"
     with pytest.raises(FileNotFoundError) as serial:
-        parse_embedding(path)
+        _serial(path)
     with pytest.raises(FileNotFoundError) as got:
-        embedding_io._parse_halves(path)
+        parse_embedding(path)
     assert str(got.value) == str(serial.value)
 
 
@@ -725,16 +750,16 @@ def test_parse_halves_without_fork_parses_serially(tmp_path, halves, monkeypatch
     if hasattr(os, "fork"):
         monkeypatch.delattr(os, "fork")
     calls = []
-    real = parse_embedding
+    real = embedding_io._parse
 
-    def recording(source, format_hint="auto"):
+    def recording(source, format_hint, name):
         calls.append(source)
-        return real(source, format_hint)
+        return real(source, format_hint, name)
 
-    monkeypatch.setattr(embedding_io, "parse_embedding", recording)
+    monkeypatch.setattr(embedding_io, "_parse", recording)
     got = parse_halves(path)
     assert (calls, forked) == ([path], [])
-    assert got.values.tobytes() == real(path).values.tobytes()
+    assert got.values.tobytes() == _serial(path).values.tobytes()
 
 
 @needs_fork
@@ -757,7 +782,7 @@ def test_parse_halves_survives_a_child_cut_off_mid_matrix(tmp_path, halves, monk
     got = parse_halves(path)
     assert forked == [path]
     assert_no_child_left()
-    expected = parse_embedding(path)
+    expected = _serial(path)
     assert got.vocab == expected.vocab
     assert got.values.tobytes() == expected.values.tobytes()
 
