@@ -19,13 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO
 
 import numpy as np
 
 from .column_stats import CorrelationMatrix
-from .embedding_io import write_csv_rows
 
 
 @dataclass(frozen=True)
@@ -66,10 +63,6 @@ class Matching:
             return None
         return float(np.abs(self.matched_correlations).mean())
 
-    def sorted_matched(self) -> np.ndarray:
-        """Matched correlations in descending order (the rank-plot view)."""
-        return np.sort(self.matched_correlations)[::-1]
-
     def to_json_dict(self) -> dict:
         d = {
             "assignment": [int(i) for i in self.assignment],
@@ -79,11 +72,6 @@ class Matching:
         if self.abs_objective:
             d["zeta_abs_1to1"] = self.zeta_abs_1to1
         return d
-
-    def write_matched_csv(self, dest: str | Path | IO) -> None:
-        """Matched correlations sorted descending, one per row."""
-        rows = ([r, repr(float(v))] for r, v in enumerate(self.sorted_matched(), 1))
-        write_csv_rows(dest, ["rank", "correlation"], rows)
 
 
 def _tight_edges(cost: np.ndarray, col_to_row: np.ndarray) -> np.ndarray:

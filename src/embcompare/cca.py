@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO
 
 import numpy as np
 
-from .embedding_io import AlignedPair, write_csv_rows
+from .embedding_io import AlignedPair
 
 # Auto ridge: this factor times the mean eigenvalue of each side's
 # auto-covariance.  |V| >> D keeps covariances well-posed, but near-duplicate
@@ -84,11 +82,6 @@ class CcaResult:
             "dropped_left": self.dropped_left,
             "dropped_right": self.dropped_right,
         }
-
-    def write_correlations_csv(self, dest: str | Path | IO) -> None:
-        """Canonical correlations in descending order, one per row."""
-        rows = ([r, repr(float(v))] for r, v in enumerate(self.correlations, 1))
-        write_csv_rows(dest, ["rank", "correlation"], rows)
 
 
 def _whitener(

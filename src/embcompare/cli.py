@@ -38,9 +38,11 @@ from .analogy_eval import (
 from .cca import NumericalError, cca_fit, check_regularization
 from .column_stats import DEFAULT_BINS, check_bins, correlation_matrix, histogram
 from .embedding_io import (
+    _FORMATS,
     _at_once,
     align_vocabularies,
     parse_embedding,
+    write_csv_rows,
     write_glove_text,
 )
 from .synthgen import (
@@ -75,7 +77,7 @@ def _note(*lines: str) -> None:
 
 
 def _tool_block() -> dict:
-    return {"name": "embcompare", "version": __version__}
+    return {"name": "embcompare", "version": __version__, "schema": 2}
 
 
 def _read_questions(args) -> list[AnalogyQuestion]:
@@ -111,8 +113,7 @@ def compare_report(args) -> dict:
     )
 
     if args.plots_dir:
-        plots = Path(args.plots_dir)
-        plots.mkdir(parents=True, exist_ok=True)
+        tables = {}  # CSV stem -> (header, columns)
         for stem, h in (
             ("hist_kappa", kappa_hist),
             ("hist_matched", histogram(
@@ -122,11 +123,28 @@ def compare_report(args) -> dict:
                 cca_result.correlations, bins=args.bins, with_kde=args.kde
             )),
         ):
-            h.write_csv(plots / f"{stem}.csv")
+            tables[stem] = (
+                ("bin_lo", "bin_hi", "count"),
+                (h.bin_edges[:-1], h.bin_edges[1:], h.counts),
+            )
             if h.kde_points is not None:
-                h.write_kde_csv(plots / f"{stem}_kde.csv")
-        matching.write_matched_csv(plots / "matched_sorted.csv")
-        cca_result.write_correlations_csv(plots / "cca_sorted.csv")
+                tables[f"{stem}_kde"] = (("x", "density"), h.kde_points.T)
+        for stem, values in (
+            ("matched_sorted", np.sort(matching.matched_correlations)[::-1]),
+            ("cca_sorted", cca_result.correlations),
+        ):
+            tables[stem] = (
+                ("rank", "correlation"), (np.arange(1, values.size + 1), values)
+            )
+        plots = Path(args.plots_dir)
+        plots.mkdir(parents=True, exist_ok=True)
+        for stem, (header, columns) in tables.items():
+            # floats as repr, so each value reads back exactly
+            cells = [
+                [repr(v) for v in c.tolist()] if c.dtype.kind == "f" else c.tolist()
+                for c in columns
+            ]
+            write_csv_rows(plots / f"{stem}.csv", header, zip(*cells))
 
     # --threads is accepted but selects nothing, so it is not echoed and
     # reports stay byte-identical across its values
@@ -142,7 +160,7 @@ def compare_report(args) -> dict:
         "lowercase": args.lowercase,
     }
     return {
-        "tool": {**_tool_block(), "schema": 2},
+        "tool": _tool_block(),
         "config": config,
         "inputs": {
             "left": {"name": left.name, "words": left.n_words, "dims": left.n_dims},
@@ -199,28 +217,26 @@ def cmd_analogy(args) -> int:
     if args.answers_csv:
         write_answers_csv(questions, report.answers, args.answers_csv)
 
-    accuracy_key = "accuracy_oov_wrong" if args.count_oov_wrong else "accuracy"
     doc = {
         "tool": _tool_block(),
         "config": {
             "embedding": str(args.embedding),
             "questions": str(args.questions),
             "format": args.format,
-            "count_oov_wrong": args.count_oov_wrong,
             "lowercase": args.lowercase,
-            "oov_convention": "count_wrong" if args.count_oov_wrong else "skip",
         },
         "evaluation": report.to_json_dict(),
-        "headline_accuracy": report.total.to_json_dict()[accuracy_key],
     }
     _emit(doc, args.out)
 
-    total = report.total
+    # the summary reads the emitted doc, so the two cannot disagree
+    evaluation = doc["evaluation"]
+    total = evaluation["total"]
     _note(
-        f"{emb.name}: {total.correct}/{total.answered} answered correctly, "
-        f"{total.skipped} skipped",
-        f"headline accuracy ({doc['config']['oov_convention']}): "
-        f"{doc['headline_accuracy']}",
+        f"{evaluation['embedding']}: {total['correct']}/{total['answered']} "
+        f"answered correctly, {total['skipped']} skipped",
+        f"accuracy: {total['accuracy']} (skipped left out), "
+        f"{total['accuracy_oov_wrong']} (skipped counted wrong)",
     )
     return 0
 
@@ -265,7 +281,7 @@ def cmd_agreement(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    base = random_embedding(args.rows, args.dims, args.seed, name=args.name)
+    base = random_embedding(args.rows, args.dims, args.seed)
     if args.transform == "identity":
         transforms = ()
     elif args.transform == "permutation":
@@ -319,11 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two embedding files end to end")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument(
-        "--format",
-        choices=["auto", "word2vec_text", "glove_text"],
-        default="auto",
-    )
+    p.add_argument("--format", choices=_FORMATS, default="auto")
     p.add_argument(
         "--abs-correlation",
         action="store_true",
@@ -354,16 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analogy", help="analogy-task accuracy for one embedding")
     p.add_argument("embedding")
     p.add_argument("questions")
-    p.add_argument(
-        "--format",
-        choices=["auto", "word2vec_text", "glove_text"],
-        default="auto",
-    )
-    p.add_argument(
-        "--count-oov-wrong",
-        action="store_true",
-        help="headline accuracy counts skipped questions as wrong",
-    )
+    p.add_argument("--format", choices=_FORMATS, default="auto")
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--answers-csv", default=None, help="write per-question answers")
     common(p)
@@ -385,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="identity",
     )
     p.add_argument("--sigma", type=float, default=0.0, help="noise level")
-    p.add_argument("--name", default=None)
     p.add_argument("--out-left", required=True)
     p.add_argument("--out-right", required=True)
     p.add_argument("--truth", default=None, help="write ground-truth JSON here")

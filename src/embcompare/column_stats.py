@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .embedding_io import AlignedPair, write_csv_rows
+from .embedding_io import AlignedPair
 
 DEFAULT_BINS = 60
+# histogram allocates bins + 1 edges, so an unbounded count exhausts memory;
+# 2**20 bins is more than the 10**6 values of a 1000 x 1000 kappa grid
+_MAX_BINS = 2**20
 KDE_POINTS = 256
 
 _RANGE_TOL = 1e-12
@@ -79,18 +81,6 @@ class HistogramSummary:
             d["kde"] = [[float(x), float(y)] for x, y in self.kde_points]
         return d
 
-    def write_csv(self, dest: str | Path | IO) -> None:
-        """Write rows of (bin_lo, bin_hi, count)."""
-        bins = zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts)
-        rows = ([repr(float(lo)), repr(float(hi)), int(c)] for lo, hi, c in bins)
-        write_csv_rows(dest, ["bin_lo", "bin_hi", "count"], rows)
-
-    def write_kde_csv(self, dest: str | Path | IO) -> None:
-        if self.kde_points is None:
-            raise ValueError("histogram was computed without a KDE")
-        rows = ([repr(float(x)), repr(float(y))] for x, y in self.kde_points)
-        write_csv_rows(dest, ["x", "density"], rows)
-
 
 def correlation_matrix(pair: AlignedPair) -> CorrelationMatrix:
     """Pearson correlation between every left column and every right column.
@@ -122,9 +112,11 @@ def correlation_matrix(pair: AlignedPair) -> CorrelationMatrix:
 
 
 def check_bins(bins: int) -> None:
-    """Raise ValueError unless a histogram can have ``bins`` bins."""
+    """Raise ValueError unless ``1 <= bins <= 2**20``."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    if bins > _MAX_BINS:
+        raise ValueError(f"bins must be <= {_MAX_BINS}, got {bins}")
 
 
 def histogram(

@@ -218,7 +218,6 @@ def test_matched_values_come_from_kappa():
     expected = kappa.values[matching.assignment, np.arange(6)]
     assert np.array_equal(matching.matched_correlations, expected)
     assert matching.zeta_1to1 == pytest.approx(expected.mean(), abs=1e-12)
-    assert np.all(np.diff(matching.sorted_matched()) <= 0)
 
 
 def test_zeta_at_least_mean_diagonal():
@@ -262,16 +261,9 @@ def test_monotone_noise_degradation():
     assert medians[0] >= medians[1] >= medians[2]
 
 
-def test_matching_json_and_csv(tmp_path):
+def test_matching_json_dict():
     kappa = CorrelationMatrix(values=np.array([[0.9, 0.1], [0.2, 0.8]]))
     matching = one_to_one_score(kappa)
     doc = json.loads(json.dumps(matching.to_json_dict()))
     assert doc["assignment"] == [0, 1]
     assert doc["zeta_1to1"] == pytest.approx(0.85)
-
-    csv_path = tmp_path / "matched.csv"
-    matching.write_matched_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "rank,correlation"
-    assert len(lines) == 3
-    assert float(lines[1].split(",")[1]) == 0.9

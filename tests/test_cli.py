@@ -96,6 +96,17 @@ def test_synth_has_no_out_option(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_synth_has_no_name_option(tmp_path, capsys):
+    # the name reached neither written file, the truth JSON nor the summary
+    code, _, err = run(
+        capsys, "synth", "--rows", "5", "--dims", "3", "--out-left", tmp_path / "l.txt",
+        "--out-right", tmp_path / "r.txt", "--name", "foo",
+    )
+    assert code == 1
+    assert "--name" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_synth_files_match_the_library_writer(tmp_path, capsys):
     left, right, truth = tmp_path / "l.txt", tmp_path / "r.txt", tmp_path / "t.json"
     code, _, _ = run(
@@ -466,6 +477,46 @@ def test_compare_plots_dir(synth_files, tmp_path, capsys):
     assert corrs == sorted(corrs, reverse=True)
 
 
+def _cells(*columns):
+    # the CSV text of each row: floats as repr, integers as is
+    return [[repr(v) if isinstance(v, float) else str(v) for v in row] for row in zip(*columns)]
+
+
+def test_compare_plot_csvs_match_report(synth_files, tmp_path, capsys):
+    left, right = synth_files
+    plots, out = tmp_path / "plots", tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "compare", left, right, "--no-timestamp", "--kde", "--bins", "7",
+        "--plots-dir", plots, "--out", out,
+    )
+    assert code == 0, err
+    report = json.loads(out.read_text())
+    matched = report["one_to_one"]["matched_correlations"]
+    cca = report["cca"]["correlations"]
+    # the report holds the kappa histogram; the other two are rebuilt from
+    # the populations it holds, with the run's bins and KDE
+    hists = {
+        "hist_kappa": report["kappa"]["histogram"],
+        "hist_matched": embcompare.histogram(matched, bins=7, with_kde=True).to_json_dict(),
+        "hist_cca": embcompare.histogram(cca, bins=7, with_kde=True).to_json_dict(),
+    }
+    expected = {}
+    for stem, h in hists.items():
+        edges = h["bin_edges"]
+        expected[stem] = (["bin_lo", "bin_hi", "count"], _cells(edges[:-1], edges[1:], h["counts"]))
+        expected[f"{stem}_kde"] = (["x", "density"], _cells(*zip(*h["kde"])))
+    for stem, values in (
+        ("matched_sorted", sorted(matched, reverse=True)),
+        ("cca_sorted", cca),
+    ):
+        expected[stem] = (["rank", "correlation"], _cells(range(1, len(values) + 1), values))
+    assert {p.name for p in plots.iterdir()} == {f"{stem}.csv" for stem in expected}
+    for stem, table in expected.items():
+        with open(plots / f"{stem}.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert (header, rows) == table, stem
+
+
 @pytest.mark.parametrize("transform", ["identity", "permutation"])
 def test_compare_plots_dir_on_noiseless_pair(tmp_path, capsys, transform):
     # matched correlations of 1.0 and 1 - 7e-16 span too few ulps for 60 bins
@@ -600,6 +651,7 @@ def test_compare_summary_matches_report(tmp_path, capsys, options):
     "option, value, problem",
     [
         ("--bins", "0", "bins must be >= 1"),
+        ("--bins", "1048577", "bins must be <= 1048576"),
         ("--regularization", "-1", "regularization must be a finite number >= 0"),
         ("--regularization", "nan", "regularization must be a finite number >= 0"),
     ],
@@ -795,7 +847,7 @@ def test_analogy_toy_accuracy(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["headline_accuracy"] == 1.0
+    assert doc["evaluation"]["total"]["accuracy"] == 1.0
     assert doc["evaluation"]["total"]["answered"] == 4
     with open(answers_csv) as fh:
         rows = list(csv.DictReader(fh))
@@ -803,7 +855,7 @@ def test_analogy_toy_accuracy(tmp_path, capsys):
     assert all(r["status"] == "ANSWERED" for r in rows)
 
 
-def test_analogy_count_oov_wrong_headline(tmp_path, capsys):
+def test_analogy_reports_both_accuracies(tmp_path, capsys):
     emb, questions = grid_fixture()
     emb_path = tmp_path / "emb.txt"
     write_glove_text(emb, emb_path)
@@ -811,13 +863,25 @@ def test_analogy_count_oov_wrong_headline(tmp_path, capsys):
     with open(q_path, "w") as fh:
         fh.write(": grid-shift\naa ba ab bb\nmissing ba ab bb\n")
     out = tmp_path / "analogy.json"
-    code, _, _ = run(
+    # the option chose which of the two accuracies was copied to the top level
+    code, _, err = run(
         capsys, "analogy", emb_path, q_path, "--count-oov-wrong", "--out", out
     )
+    assert code == 1
+    assert "--count-oov-wrong" in err
+    assert not out.exists()
+    code, _, err = run(capsys, "analogy", emb_path, q_path, "--out", out)
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["headline_accuracy"] == 0.5
-    assert doc["evaluation"]["total"]["accuracy"] == 1.0
+    assert list(doc) == ["tool", "config", "evaluation"]
+    assert doc["tool"]["schema"] == 2
+    assert list(doc["config"]) == ["embedding", "questions", "format", "lowercase"]
+    total = doc["evaluation"]["total"]
+    assert (total["accuracy"], total["accuracy_oov_wrong"]) == (1.0, 0.5)
+    assert err.splitlines() == [
+        "emb: 1/1 answered correctly, 1 skipped",
+        "accuracy: 1.0 (skipped left out), 0.5 (skipped counted wrong)",
+    ]
 
 
 def test_analogy_empty_questions_errors(tmp_path, capsys):
