@@ -292,7 +292,54 @@ def test_writer_bytes_match_the_rowwise_oracle(data, n_dims, vocab, write_rows):
     assert text.getvalue() == expected
 
 
-@pytest.mark.parametrize("word", ["", "two words", "nb\xa0sp", "tab\t", "\u3000", "eol\n"])
+def _boundary_values() -> list[float]:
+    """Doubles at the edges of the writer's table path, both signs."""
+    values = []
+    for j in range(-5, 8):  # %g switches notation at 1e-4 and 1e6
+        power = 10.0**j
+        values += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+    # nearest doubles of decimals half way between two 6-digit ones; from
+    # 12345.15 on, the product with 10**k rounds to the tie itself, which
+    # rint would round the other way
+    values += [0.1234565, 2.5e-05, 99999.95, 999999.5, 100000.5, 9.999995]
+    values += [12345.15, 12345.45, 560.6385, 0.1343255, 0.0007009505]
+    values += [0.0, 5e-324, 1.2345e-310, 2.2250738585072014e-308, 1e300]
+    return values + [-v for v in values]
+
+
+@pytest.mark.parametrize("write_rows", [1, 256])
+def test_writer_bytes_at_the_table_path_boundaries(write_rows):
+    edges = _boundary_values()
+    rng = np.random.default_rng(0)
+    rows = [edges, edges[::-1], rng.permutation(edges).tolist()]
+    # rows whose first or last value falls back, around table-path values
+    rows += [[0.0, 1.5, -2.25], [1.5, -2.25, 1e300], [5e-324, 0.5, -0.0]]
+    rows = [row + [0.5] * (len(edges) - len(row)) for row in rows]
+    vocab = [f"w{i}" for i in range(len(rows))]
+    e = make_embedding(np.array(rows), vocab)
+    buf = io.BytesIO()
+    with mock.patch.object(embedding_io, "_WRITE_ROWS", write_rows):
+        write_glove_text(e, buf)
+    assert buf.getvalue() == write_glove_text_rowwise(vocab, rows).encode("utf-8")
+
+
+def test_writer_formats_nearly_all_normal_values_from_its_tables():
+    # the fallback formats values one at a time in Python; its bytes match
+    # the tables', so only its share shows that the table path is taken
+    values = np.random.default_rng(5).standard_normal((1000, 100))
+    e = make_embedding(values)
+    buf = io.BytesIO()
+    spy = mock.patch.object(
+        embedding_io, "_fallback_cells", wraps=embedding_io._fallback_cells
+    )
+    with spy as fallback:
+        write_glove_text(e, buf)
+    formatted = sum(len(call.args[0]) for call in fallback.call_args_list)
+    assert formatted <= 0.01 * values.size
+    assert buf.getvalue() == write_glove_text_rowwise(e.vocab, values.tolist()).encode()
+
+
+@pytest.mark.parametrize("word",["", "two words", "nb\xa0sp", "tab\t", "\u3000", "eol\n"])
 def test_writer_refuses_words_glove_text_cannot_hold(tmp_path, word):
     e = make_embedding(np.eye(3), vocab=("ok", "fine", word))
     path, text = tmp_path / "out.txt", io.StringIO()
