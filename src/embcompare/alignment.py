@@ -50,10 +50,6 @@ class Matching:
         object.__setattr__(self, "assignment", a)
 
     @property
-    def n_dims(self) -> int:
-        return self.assignment.shape[0]
-
-    @property
     def zeta_1to1(self) -> float:
         return float(self.matched_correlations.mean())
 

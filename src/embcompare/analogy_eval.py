@@ -447,10 +447,11 @@ def read_answers_csv(source: str | Path | IO) -> list[dict]:
     """Rows of an answers CSV as dicts of strings, validated row by row.
 
     Every row must have exactly the header's fields, a ``question_index``
-    equal to its 0-based position among the rows (so disagreements cite
-    each question once), a status of ANSWERED or SKIPPED, and a non-empty
-    ``predicted`` exactly when the status is ANSWERED.  A row that breaks
-    any of these raises ``ValueError`` naming the file and CSV line.
+    spelling its 0-based position as ``analogy`` does (so disagreements
+    cite each question once: ``00`` is no second form of ``0``), a status
+    of ANSWERED or SKIPPED, and a non-empty ``predicted`` exactly when the
+    status is ANSWERED.  A row that breaks any of these raises
+    ``ValueError`` naming the file and CSV line.
     """
     with opened(source, "r", newline="", encoding="utf-8") as fh:
         name = getattr(fh, "name", "answers CSV")
@@ -476,12 +477,13 @@ def _answer_row_problem(row: dict, position: int) -> str | None:
         return "row has more fields than the header"
     if None in row.values():  # and fills missing ones with None
         return "row has fewer fields than the header"
+    index = row["question_index"]
     try:
-        index = int(row["question_index"])
+        int(index)
     except ValueError:
-        return f"question_index {row['question_index']!r} is not an integer"
-    if index != position:
-        return f"question_index must be {position}, got {row['question_index']}"
+        return f"question_index {index!r} is not an integer"
+    if index != str(position):  # the form analogy writes, so "00" and "+0" fail
+        return f"question_index must be {position}, got {index}"
     status, predicted = row["status"], row["predicted"]
     if status not in (ANSWERED, SKIPPED):
         return f"status {status!r} is not {ANSWERED} or {SKIPPED}"

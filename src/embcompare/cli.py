@@ -103,14 +103,16 @@ def compare_report(args) -> dict:
             f"{right.n_dims}; compare needs equal dimensionalities"
         )
     pair = align_vocabularies(left, right)
+    # before kappa and CCA, so questions with no item answered by both runs
+    # fail before the costly stages
+    agreement = (
+        None if questions is None else agreement_report(left, right, questions)
+    )
 
     kappa = correlation_matrix(pair)
     kappa_hist = histogram(kappa.values.ravel(), bins=args.bins, with_kde=args.kde)
     matching = one_to_one_score(kappa, use_abs=args.abs_correlation)
     cca_result = cca_fit(pair, regularization=args.regularization)
-    agreement = (
-        None if questions is None else agreement_report(left, right, questions)
-    )
 
     if args.plots_dir:
         tables = {}  # CSV stem -> (header, columns)

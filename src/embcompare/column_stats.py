@@ -57,10 +57,6 @@ class CorrelationMatrix:
             values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
 
 @dataclass(frozen=True)
 class HistogramSummary:

@@ -35,6 +35,7 @@ import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from itertools import compress, repeat
 from pathlib import Path
 from typing import (
     IO,
@@ -731,25 +732,27 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     if a.vocab == b.vocab:
         return AlignedPair(left=a, right=b)
 
-    b_index = b.index
-    shared = [w for w in a.vocab if w in b_index]
-    if not shared:
+    # one walk over a's words: each word's row in b, or -1 where b lacks it
+    b_rows = np.fromiter(
+        map(b.index.get, a.vocab, repeat(-1)), dtype=np.intp, count=a.n_words
+    )
+    shared = b_rows >= 0
+    a_rows = np.flatnonzero(shared)
+    if not a_rows.size:
         raise ValueError(
             f"embeddings {a.name!r} and {b.name!r} share no vocabulary"
         )
-    a_rows = np.fromiter((a.index[w] for w in shared), dtype=np.intp, count=len(shared))
-    b_rows = np.fromiter((b_index[w] for w in shared), dtype=np.intp, count=len(shared))
-    vocab = tuple(shared)
+    vocab = tuple(compress(a.vocab, shared.tolist()))
     # fresh arrays, frozen here so EmbeddingMatrix keeps them without a copy
-    a_values, b_values = a.values[a_rows], b.values[b_rows]
+    a_values, b_values = a.values[a_rows], b.values[b_rows[a_rows]]
     a_values.flags.writeable = b_values.flags.writeable = False
     left = EmbeddingMatrix(vocab=vocab, values=a_values, name=a.name)
     right = EmbeddingMatrix(vocab=vocab, values=b_values, name=b.name)
     return AlignedPair(
         left=left,
         right=right,
-        dropped_left=a.n_words - len(shared),
-        dropped_right=b.n_words - len(shared),
+        dropped_left=a.n_words - len(vocab),
+        dropped_right=b.n_words - len(vocab),
     )
 
 

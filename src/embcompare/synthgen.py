@@ -160,18 +160,15 @@ def synthetic_vocab(n_rows: int) -> tuple[str, ...]:
     return tuple(f"w{i:06d}" for i in range(1, n_rows + 1))
 
 
-def random_embedding(
-    n_rows: int, n_dims: int, seed: int, name: str | None = None
-) -> EmbeddingMatrix:
-    """I.i.d. standard-normal embedding with ``w000001``-style vocabulary."""
+def random_embedding(n_rows: int, n_dims: int, seed: int) -> EmbeddingMatrix:
+    """I.i.d. standard-normal embedding named ``synthetic-<seed>``, with
+    ``w000001``-style vocabulary."""
     if n_rows < 2 or n_dims < 1:
         raise ValueError("need n_rows >= 2 and n_dims >= 1")
     values = _rng(seed).standard_normal((n_rows, n_dims))
     values.flags.writeable = False  # fresh: EmbeddingMatrix need not copy it
     return EmbeddingMatrix(
-        vocab=synthetic_vocab(n_rows),
-        values=values,
-        name=name if name is not None else f"synthetic-{seed}",
+        vocab=synthetic_vocab(n_rows), values=values, name=f"synthetic-{seed}"
     )
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import embcompare
 from embcompare import (
@@ -228,6 +230,34 @@ def test_zeta_at_least_mean_diagonal():
         )
         matching = one_to_one_score(kappa)
         assert matching.zeta_1to1 >= np.diag(kappa.values).mean() - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), data=st.data())
+def test_matching_follows_permutations_and_ignores_signs(seed, n, data):
+    # a Gaussian grid has a unique optimum with probability 1, so the solver
+    # has no tie to break and the assignment must move with the grid
+    w = np.random.default_rng(seed).standard_normal((n, n))
+    rows = np.array(data.draw(st.permutations(range(n)), label="rows"), dtype=np.intp)
+    cols = np.array(data.draw(st.permutations(range(n)), label="cols"), dtype=np.intp)
+    assignment, total = max_weight_assignment(w)
+    moved, moved_total = max_weight_assignment(w[rows][:, cols])
+    # column d of the moved grid is column cols[d] of w, matched to row
+    # assignment[cols[d]] of w, which is row argsort(rows)[that] of the moved grid
+    assert moved.tolist() == np.argsort(rows)[assignment[cols]].tolist()
+    # the same n values summed in another order: each rounded sum is within
+    # (n - 1) * eps/2 * sum|values| of the exact one
+    bound = n * np.finfo(np.float64).eps * np.abs(w[assignment, np.arange(n)]).sum()
+    assert abs(moved_total - total) <= bound
+
+    kappa = CorrelationMatrix(values=np.tanh(w))
+    signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
+    row_signs, col_signs = np.array(data.draw(signs)), np.array(data.draw(signs))
+    flipped = CorrelationMatrix(values=row_signs[:, None] * kappa.values * col_signs)
+    before = one_to_one_score(kappa, use_abs=True)
+    after = one_to_one_score(flipped, use_abs=True)
+    assert after.assignment.tolist() == before.assignment.tolist()
+    assert after.zeta_abs_1to1 == before.zeta_abs_1to1
 
 
 def test_abs_mode_recovers_sign_flips():

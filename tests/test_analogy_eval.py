@@ -513,6 +513,10 @@ def test_answers_csv_rejects_malformed_rows(tmp_path, row, problem):
         ([0, 0, 1], 3, "question_index must be 1, got 0"),
         ([0, 2, 1], 3, "question_index must be 1, got 2"),
         ([0, 1, -2], 4, "question_index must be 2, got -2"),
+        # int() takes these, but they are not the form analogy writes
+        (["00"], 2, "question_index must be 0, got 00"),
+        (["+0"], 2, "question_index must be 0, got +0"),
+        ([0, " 1"], 3, "question_index must be 1, got  1"),
     ],
 )
 def test_answers_csv_question_index_is_the_row_position(tmp_path, indices, line, problem):

@@ -359,6 +359,26 @@ def test_compare_checks_questions_before_parsing(tmp_path, capsys, monkeypatch, 
     assert problem in err
 
 
+def test_compare_questions_none_answered_fails_before_kappa(tmp_path, capsys, monkeypatch):
+    # a question no run can answer leaves alpha nothing to score: that error
+    # comes before the kappa grid, the matching and CCA are computed
+    left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+    write_glove_text(random_embedding(300, 8, 1), left)
+    write_glove_text(random_embedding(300, 8, 2), right)
+    q_path = tmp_path / "questions.txt"
+    q_path.write_text(": c\nunseen1 unseen2 unseen3 unseen4\n")
+
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("kappa computed before the analogy agreement failed")
+
+    monkeypatch.setattr("embcompare.cli.correlation_matrix", no_kappa)
+    out = tmp_path / "report.json"
+    code, _, err = run(capsys, "compare", left, right, "--questions", q_path, "--out", out)
+    assert code == 1
+    assert "no items were answered by both runs" in err
+    assert not out.exists()
+
+
 def test_commands_read_through_cli_parse_embedding(tmp_path, capsys, monkeypatch):
     # the one reader, under the name on cli that the benchmark's tracer wraps
     left, right = tmp_path / "left.txt", tmp_path / "right.txt"
@@ -984,6 +1004,19 @@ def test_agreement_swapped_rows_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "agreement", path_a, path_b)
     assert code == 1
     assert "answer files disagree on the question in row 2" in err
+
+
+def test_agreement_rejects_a_padded_question_index(tmp_path, capsys):
+    # "00" asks the same question as "0", but only "0" is analogy's form: the
+    # file fails when read instead of seeming to disagree with the other
+    path_a = tmp_path / "a.csv"
+    path_b = tmp_path / "b.csv"
+    path_a.write_text(ANSWERS_HEADER + "00,a,b,c,d,X,ANSWERED\n")
+    path_b.write_text(ANSWERS_HEADER + "0,a,b,c,d,X,ANSWERED\n")
+    code, _, err = run(capsys, "agreement", path_a, path_b)
+    assert code == 1
+    assert f"{path_a}: line 2: question_index must be 0, got 00" in err
+    assert "disagree" not in err
 
 
 @pytest.mark.parametrize("row, problem", MALFORMED_ANSWER_ROWS)
