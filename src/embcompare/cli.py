@@ -21,11 +21,20 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
-import numpy as np
+# Idle OpenBLAS worker threads spin for 2**n cycles before they sleep; the
+# default n = 28 (about 0.1 s) burns a second core through numpy's import
+# and every single-threaded phase after a BLAS call.  2**16 cycles (about
+# 25 us) still bridges LAPACK's back-to-back calls.  OpenBLAS reads the
+# variable when numpy loads it, so this must run before any numpy import
+# (the package's __init__ imports nothing); a value the user set is kept.
+# The thread count is unchanged, so outputs are too.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "16")
 
-from . import __version__
-from .alignment import one_to_one_score
-from .analogy_eval import (
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .alignment import one_to_one_score  # noqa: E402
+from .analogy_eval import (  # noqa: E402
     QUESTION_COLUMNS,
     AnalogyQuestion,
     agreement_report,
@@ -35,9 +44,9 @@ from .analogy_eval import (
     read_answers_csv,
     write_answers_csv,
 )
-from .cca import NumericalError, cca_fit, check_regularization
-from .column_stats import DEFAULT_BINS, check_bins, correlation_matrix, histogram
-from .embedding_io import (
+from .cca import NumericalError, cca_fit, check_regularization  # noqa: E402
+from .column_stats import DEFAULT_BINS, check_bins, correlation_matrix, histogram  # noqa: E402
+from .embedding_io import (  # noqa: E402
     _FORMATS,
     _at_once,
     align_vocabularies,
@@ -45,7 +54,7 @@ from .embedding_io import (
     write_csv_rows,
     write_glove_text,
 )
-from .synthgen import (
+from .synthgen import (  # noqa: E402
     SynthSpec,
     derive_pair,
     random_embedding,

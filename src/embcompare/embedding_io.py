@@ -732,9 +732,12 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     if a.vocab == b.vocab:
         return AlignedPair(left=a, right=b)
 
-    # one walk over a's words: each word's row in b, or -1 where b lacks it
+    # one walk over a's words: each word's row in b, or -1 where b lacks it.
+    # The lookup is local, not b.index: that would stay cached on b, which
+    # compare keeps alive to the end, and nothing reads it after this.
+    b_index = {w: i for i, w in enumerate(b.vocab)}
     b_rows = np.fromiter(
-        map(b.index.get, a.vocab, repeat(-1)), dtype=np.intp, count=a.n_words
+        map(b_index.get, a.vocab, repeat(-1)), dtype=np.intp, count=a.n_words
     )
     shared = b_rows >= 0
     a_rows = np.flatnonzero(shared)

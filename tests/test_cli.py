@@ -1052,6 +1052,44 @@ def test_cli_import_does_not_load_scipy_stats(synth_files, tmp_path):
     assert (tmp_path / "plots" / "hist_kappa_kde.csv").exists()
 
 
+# A meta-path finder that records OPENBLAS_THREAD_TIMEOUT when numpy's
+# import starts, which is before numpy loads OpenBLAS and OpenBLAS reads it.
+_BLAS_ENV_SPY = (
+    "import atexit, os, sys\n"
+    "class Spy:\n"
+    "    seen = []\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy' and not Spy.seen:\n"
+    "            Spy.seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+    "sys.meta_path.insert(0, Spy())\n"
+    "atexit.register(lambda: print(Spy.seen))\n"
+)
+
+
+@pytest.mark.parametrize("user_value", [None, "28"])
+def test_cli_sets_blas_idle_wait_before_numpy_loads(user_value):
+    # import embcompare.cli is what the console script does; run_module is
+    # what python -m embcompare does
+    src = str(Path(embcompare.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if user_value is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = user_value
+    entries = [
+        "import embcompare.cli",
+        "import runpy; sys.argv[:] = ['embcompare', '--version']; "
+        "runpy.run_module('embcompare', run_name='__main__', alter_sys=True)",
+    ]
+    for entry in entries:
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_ENV_SPY + entry],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == repr([user_value or "16"]), entry
+
+
 def test_report_to_stdout_by_default(synth_files, capsys):
     left, right = synth_files
     code, out, _ = run(capsys, "compare", left, right, "--no-timestamp")

@@ -572,13 +572,14 @@ def test_align_rows_correspond_to_same_word():
 
 
 def test_align_walks_left_vocab_without_indexing_it():
-    # only the right side's word -> row lookup is needed; the left one,
-    # a dict of every left word, is never built
+    # only the right side's word -> row lookup is needed, and it is local
+    # to the align: neither input is left holding a dict of all its words
     a = make_embedding(np.arange(8.0).reshape(4, 2), vocab=tuple("abcd"))
     b = make_embedding(np.arange(6.0).reshape(3, 2), vocab=tuple("dxb"))
     pair = align_vocabularies(a, b)
     assert pair.left.vocab == ("b", "d")
     assert "index" not in a.__dict__
+    assert "index" not in b.__dict__
 
 
 def test_row_normalize_three_four_five():
