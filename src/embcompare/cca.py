@@ -133,7 +133,8 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
     warning), reducing ``k``.
     """
     n = pair.shared_count
-    dx, dy = pair.left.n_dims, pair.right.n_dims
+    left, right = pair.sources
+    dx, dy = left.n_dims, right.n_dims
     if n < 2:
         raise ValueError("need at least 2 shared words to fit CCA")
     if n <= max(dx, dy):
@@ -153,8 +154,8 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
     else:
         ridge_left = ridge_right = float(regularization)
 
-    w_left, dropped_left = _whitener(cov_xx, ridge_left, pair.left.name)
-    w_right, dropped_right = _whitener(cov_yy, ridge_right, pair.right.name)
+    w_left, dropped_left = _whitener(cov_xx, ridge_left, left.name)
+    w_right, dropped_right = _whitener(cov_yy, ridge_right, right.name)
 
     core = w_left.T @ cov_xy @ w_right
     try:

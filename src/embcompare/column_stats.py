@@ -6,11 +6,14 @@ and feature column ``j`` of another, over their shared vocabulary.
 
 The grid is read from the pair's joint covariance
 (:attr:`AlignedPair.covariance`), the same one :func:`~embcompare.cca.cca_fit`
-whitens, so the data is centred and multiplied once for both metrics.  It
-uses population (1/n) normalization; the factor cancels in correlations.
-A column that is exactly constant (max == min), or whose variance
-underflows to 0, gets correlation 0 and is flagged rather than producing
-NaN or rounding noise.
+whitens.  One pass over the shared rows, read by index from the two parsed
+matrices a chunk at a time, gives the column means and ranges and then the
+covariance, so the data is centred and multiplied once for both metrics
+and never copied whole.  It uses population (1/n) normalization; the
+factor cancels in correlations.  A column that is exactly constant over
+the shared rows (:attr:`AlignedPair.constant_columns`: max == min), or
+whose variance underflows to 0, gets correlation 0 and is flagged rather
+than producing NaN or rounding noise.
 """
 from __future__ import annotations
 
@@ -89,12 +92,11 @@ def correlation_matrix(pair: AlignedPair) -> CorrelationMatrix:
     """
     if pair.shared_count < 2:
         raise ValueError("need at least 2 shared words to correlate columns")
-    sides = (pair.left.values, pair.right.values)
-    d = pair.left.n_dims
+    d = pair.sources[0].n_dims
     cov = pair.covariance
     std = np.sqrt(np.diag(cov))
-    degenerate = np.concatenate([v.max(axis=0) == v.min(axis=0) for v in sides])
-    degenerate |= std == 0.0  # variance underflow: no usable scale either
+    # variance underflow leaves no usable scale either
+    degenerate = pair.constant_columns | (std == 0.0)
     std[degenerate] = 1.0
     out = cov[:d, d:] / np.outer(std[:d], std[d:])
     out[degenerate[:d], :] = 0.0

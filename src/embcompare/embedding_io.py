@@ -35,7 +35,7 @@ import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import compress, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import (
     IO,
@@ -95,7 +95,9 @@ class EmbeddingMatrix:
     """A vocabulary plus one dense row vector per word.
 
     ``values`` has shape ``(len(vocab), n_dims)`` and is made read-only on
-    construction so instances can be shared freely between threads.
+    construction so instances can be shared freely between threads.  It is
+    converted to float64 and copied only where the result may still share
+    memory with a writeable array of the caller's.
     """
 
     vocab: tuple[str, ...]
@@ -124,9 +126,10 @@ class EmbeddingMatrix:
                 seen.add(w)
         if not np.isfinite(values).all():
             raise ValueError("embedding contains non-finite values")
-        if values.flags.writeable:
+        # a converted array (float32 input, say) is this matrix's own already
+        if values.flags.writeable and np.may_share_memory(values, self.values):
             values = values.copy()
-            values.flags.writeable = False
+        values.flags.writeable = False
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "values", values)
 
@@ -144,22 +147,74 @@ class EmbeddingMatrix:
         return {w: i for i, w in enumerate(self.vocab)}
 
 
-@dataclass(frozen=True)
 class AlignedPair:
-    """Two embeddings restricted to a shared vocabulary in identical row order."""
+    """Two embeddings paired row by row over their shared vocabulary.
 
-    left: EmbeddingMatrix
-    right: EmbeddingMatrix
-    dropped_left: int = 0
-    dropped_right: int = 0
+    ``AlignedPair(left, right)`` pairs two matrices whose vocabularies agree
+    element for element; ``sources`` is then ``(left, right)``.
+    :func:`align_vocabularies` pairs two matrices whose vocabularies differ
+    by index: ``sources`` holds both as given, and the pair holds the rows
+    of the shared words in each, in the first one's order.  ``left`` and
+    ``right``, the sources restricted to the shared words, are then built
+    on first access.  :attr:`covariance` and :attr:`constant_columns` read
+    the shared rows through the index, so ``compare`` never builds them.
+    Instances are immutable.
+    """
 
-    def __post_init__(self):
-        if self.left.vocab != self.right.vocab:
+    def __init__(
+        self,
+        left: EmbeddingMatrix,
+        right: EmbeddingMatrix,
+        dropped_left: int = 0,
+        dropped_right: int = 0,
+    ):
+        if left.vocab != right.vocab:
             raise ValueError("left and right vocabularies differ")
+        self.__dict__.update(
+            sources=(left, right), dropped_left=dropped_left,
+            dropped_right=dropped_right, _rows=None, left=left, right=right,
+        )
+
+    @classmethod
+    def _by_index(
+        cls, a: EmbeddingMatrix, b: EmbeddingMatrix, a_rows: np.ndarray, b_rows: np.ndarray
+    ) -> AlignedPair:
+        """``a``'s rows ``a_rows`` paired with ``b``'s rows ``b_rows``."""
+        a_rows.flags.writeable = b_rows.flags.writeable = False
+        pair = cls.__new__(cls)
+        pair.__dict__.update(
+            sources=(a, b), dropped_left=a.n_words - a_rows.size,
+            dropped_right=b.n_words - b_rows.size, _rows=(a_rows, b_rows),
+        )
+        return pair
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AlignedPair is immutable: cannot set {name!r}")
 
     @property
     def shared_count(self) -> int:
-        return len(self.left.vocab)
+        if self._rows is None:
+            return self.sources[0].n_words
+        return self._rows[0].size
+
+    @cached_property
+    def left(self) -> EmbeddingMatrix:
+        return self._restricted(0)
+
+    @cached_property
+    def right(self) -> EmbeddingMatrix:
+        return self._restricted(1)
+
+    def _restricted(self, side: int) -> EmbeddingMatrix:
+        source, rows = self.sources[side], self._rows[side]
+        values = source.values[rows]
+        values.flags.writeable = False  # fresh: EmbeddingMatrix keeps it without a copy
+        return EmbeddingMatrix(vocab=self._vocab, values=values, name=source.name)
+
+    @cached_property
+    def _vocab(self) -> tuple[str, ...]:
+        vocab = self.sources[0].vocab
+        return tuple([vocab[i] for i in self._rows[0].tolist()])
 
     @cached_property
     def covariance(self) -> np.ndarray:
@@ -168,19 +223,80 @@ class AlignedPair:
         With ``d = left.n_dims``, blocks ``[:d, :d]``, ``[d:, d:]`` and ``[:d, d:]``
         are the left, right and cross covariances.  Two-pass (Chan, Golub &
         LeVeque, 1979): column means, then ``Z.T @ Z`` per row chunk of the
-        centred ``Z = [left | right]``, so no N-sized copy is ever made.
+        centred ``Z = [left | right]``.  Each chunk of shared rows is read
+        from the two sources into one reused buffer, so no N-sized copy is
+        ever made; see :meth:`_moments`.
         """
-        x, y = self.left.values, self.right.values
-        mean = np.concatenate([x.mean(axis=0), y.mean(axis=0)])
-        cov = np.zeros((mean.size, mean.size))
+        return self._moments[0]
+
+    @property
+    def constant_columns(self) -> np.ndarray:
+        """Per column of ``[left | right]``: whether its max equals its min
+        over the shared rows.  From the same pass as :attr:`covariance`."""
+        return self._moments[1]
+
+    @property
+    def _columns(self) -> tuple[slice, slice]:
+        """The left and right sides' columns in ``[left | right]``."""
+        d = self.sources[0].n_dims
+        return slice(None, d), slice(d, None)
+
+    def _chunks(self, buf: np.ndarray) -> Iterator[np.ndarray]:
+        """Each run of up to ``_COVARIANCE_CHUNK`` shared rows as ``[left | right]``,
+        read into ``buf[1:]`` (row 0 is left to the caller)."""
         for start in range(0, self.shared_count, _COVARIANCE_CHUNK):
-            rows = slice(start, start + _COVARIANCE_CHUNK)
-            chunk = np.hstack([x[rows], y[rows]])
+            stop = min(start + _COVARIANCE_CHUNK, self.shared_count)
+            chunk = buf[1 : stop - start + 1]
+            for k, cols in enumerate(self._columns):
+                values = self.sources[k].values
+                if self._rows is None:
+                    chunk[:, cols] = values[start:stop]
+                else:  # gather, then copy: faster than np.take into strided columns
+                    chunk[:, cols] = values[self._rows[k][start:stop]]
+            yield chunk
+
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(covariance, constant_columns)``, to the bit as read from ``left``
+        and ``right``.
+
+        With identical vocabularies the means and ranges are read from the
+        whole matrices.  Paired by index, a first pass over the chunks sums
+        the columns and tracks their max and min.  Each chunk is reduced
+        below the running sums in ``buf[0]``, so every column is summed row
+        by row from 0.0, as ``mean(axis=0)`` sums a matrix of two or more
+        columns; a one-column side, which numpy sums pairwise, is read whole.
+        The covariance pass then centres each chunk in place.
+        """
+        n, sides = self.shared_count, self.sources
+        width = sum(side.n_dims for side in sides)
+        buf = np.empty((min(n, _COVARIANCE_CHUNK) + 1, width))
+        if self._rows is None:
+            values = [side.values for side in sides]
+            mean = np.concatenate([v.mean(axis=0) for v in values])
+            constant = np.concatenate([v.max(axis=0) == v.min(axis=0) for v in values])
+        else:
+            total = np.zeros(width)
+            hi, lo = np.full(width, -np.inf), np.full(width, np.inf)
+            for chunk in self._chunks(buf):
+                buf[0] = total
+                np.add.reduce(buf[: len(chunk) + 1], axis=0, out=total)
+                np.maximum(hi, chunk.max(axis=0), out=hi)
+                np.minimum(lo, chunk.min(axis=0), out=lo)
+            mean = total / n
+            constant = hi == lo
+            for side, rows, cols in zip(sides, self._rows, self._columns):
+                if side.n_dims == 1:
+                    mean[cols] = side.values[rows].mean(axis=0)
+        cov = np.zeros((width, width))
+        product = np.empty_like(cov)
+        for chunk in self._chunks(buf):
             chunk -= mean
-            cov += chunk.T @ chunk
-        cov /= self.shared_count
-        cov.flags.writeable = False
-        return cov
+            np.matmul(chunk.T, chunk, out=product)
+            cov += product
+        cov /= n
+        cov.flags.writeable = constant.flags.writeable = False
+        return cov, constant
 
 
 def _decoded(line: bytes | str, lineno: int, error: type[ValueError]) -> str:
@@ -723,11 +839,12 @@ def _fallback_cells(values: np.ndarray) -> np.ndarray:
 
 
 def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
-    """Restrict both embeddings to their shared vocabulary, in ``a``'s order.
+    """Pair both embeddings over their shared vocabulary, in ``a``'s order.
 
-    Raises ``ValueError`` when the vocabularies are disjoint.  When the
-    vocabularies already agree element-for-element the input matrices are
-    reused without copying (they are immutable).
+    Raises ``ValueError`` when the vocabularies are disjoint.  No values are
+    copied: when the vocabularies agree element for element the pair holds
+    the input matrices themselves (they are immutable), and otherwise the
+    rows each side shares, by index.
     """
     if a.vocab == b.vocab:
         return AlignedPair(left=a, right=b)
@@ -739,24 +856,12 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     b_rows = np.fromiter(
         map(b_index.get, a.vocab, repeat(-1)), dtype=np.intp, count=a.n_words
     )
-    shared = b_rows >= 0
-    a_rows = np.flatnonzero(shared)
+    a_rows = np.flatnonzero(b_rows >= 0)
     if not a_rows.size:
         raise ValueError(
             f"embeddings {a.name!r} and {b.name!r} share no vocabulary"
         )
-    vocab = tuple(compress(a.vocab, shared.tolist()))
-    # fresh arrays, frozen here so EmbeddingMatrix keeps them without a copy
-    a_values, b_values = a.values[a_rows], b.values[b_rows[a_rows]]
-    a_values.flags.writeable = b_values.flags.writeable = False
-    left = EmbeddingMatrix(vocab=vocab, values=a_values, name=a.name)
-    right = EmbeddingMatrix(vocab=vocab, values=b_values, name=b.name)
-    return AlignedPair(
-        left=left,
-        right=right,
-        dropped_left=a.n_words - len(vocab),
-        dropped_right=b.n_words - len(vocab),
-    )
+    return AlignedPair._by_index(a, b, a_rows, b_rows[a_rows])
 
 
 def row_normalize(e: EmbeddingMatrix) -> tuple[EmbeddingMatrix, int]:

@@ -121,6 +121,27 @@ def reference_cca_correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.clip(s, 0.0, 1.0)
 
 
+def moments_by_copy(
+    x: np.ndarray, y: np.ndarray, chunk: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint covariance and constant-column flags of two aligned copies.
+
+    The route ``compare`` took while it copied the shared rows: column means
+    of each whole side, then ``c.T @ c`` over ``chunk``-row slices of the
+    centred ``np.hstack``, and a column is constant where its max is its min.
+    """
+    mean = np.concatenate([x.mean(axis=0), y.mean(axis=0)])
+    cov = np.zeros((mean.size, mean.size))
+    for start in range(0, x.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        c = np.hstack([x[rows], y[rows]])
+        c -= mean
+        cov += c.T @ c
+    cov /= x.shape[0]
+    constant = np.concatenate([v.max(axis=0) == v.min(axis=0) for v in (x, y)])
+    return cov, constant
+
+
 def _positive_int(token: str) -> bool:
     try:
         return int(token) > 0

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from embcompare import (
     histogram,
 )
 from embcompare.column_stats import KDE_POINTS, CorrelationMatrix
+from embcompare.embedding_io import EmbeddingMatrix
 from embcompare.embedding_io import _COVARIANCE_CHUNK
 from embcompare.synthgen import random_embedding
 from helpers import make_embedding
-from oracles import correlation_matrix_naive, gaussian_kde_scipy
+from oracles import correlation_matrix_naive, gaussian_kde_scipy, moments_by_copy
 
 
 def _pair(left_values, right_values):
@@ -53,6 +55,95 @@ def test_kappa_and_cca_share_one_covariance_pass(monkeypatch):
     correlation_matrix(pair)
     cca_fit(pair)
     assert len(calls) == 1
+
+
+def _partial_pair(rng, n, dx, dy, extra_left, extra_right):
+    """Sources sharing ``n`` words: each side has dropped words of its own
+    at random rows, and the right side lists its words in a shuffled order.
+    Values sit on a large offset, so a change in summation order shows."""
+    shared = [f"s{i}" for i in range(n)]
+    vocabs = (
+        shared + [f"l{i}" for i in range(extra_left)],
+        shared + [f"r{i}" for i in range(extra_right)],
+    )
+    sources = []
+    for vocab, d, name in ((vocabs[0], dx, "L"), (vocabs[1], dy, "R")):
+        order = rng.permutation(len(vocab))
+        values = rng.standard_normal((len(vocab), d)) * 1e3 + rng.standard_normal(d) * 1e6
+        sources.append(EmbeddingMatrix(tuple(vocab[i] for i in order), values, name))
+    return sources
+
+
+def _assert_moments_as_by_copy(a, b):
+    pair = align_vocabularies(a, b)
+    words = [w for w in a.vocab if w in b.index]
+    x = a.values[[a.index[w] for w in words]]
+    y = b.values[[b.index[w] for w in words]]
+    cov, constant = moments_by_copy(x, y, _COVARIANCE_CHUNK)
+    assert pair.covariance.tobytes() == cov.tobytes()
+    assert pair.constant_columns.tolist() == constant.tolist()
+    if a.vocab != b.vocab:  # paired by index: no aligned copy was built
+        assert "left" not in pair.__dict__ and "right" not in pair.__dict__
+    return pair
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, _COVARIANCE_CHUNK - 1, _COVARIANCE_CHUNK, _COVARIANCE_CHUNK + 1,
+          3 * _COVARIANCE_CHUNK + 5],
+)
+def test_covariance_by_index_is_bitwise_the_copy_route(n):
+    rng = np.random.default_rng(n)
+    a, b = _partial_pair(rng, n, 5, 4, extra_left=7, extra_right=11)
+    _assert_moments_as_by_copy(a, b)
+    # the same words in both orders, so nothing is dropped
+    _assert_moments_as_by_copy(*_partial_pair(rng, n, 3, 3, 0, 0))
+
+
+def test_constant_columns_are_read_over_the_shared_rows_only():
+    rng = np.random.default_rng(5)
+    a, b = _partial_pair(rng, 3000, 4, 3, extra_left=9, extra_right=5)
+    shared = np.array([w.startswith("s") for w in a.vocab])
+    left = a.values.copy()
+    left[:, 0] = -0.0  # mean 0.0, and every centred entry stays -0.0
+    left[:, 2] = np.where(shared, 3.5, 7.0)  # constant only where shared
+    a = EmbeddingMatrix(a.vocab, left, a.name)
+    right = b.values.copy()
+    right[:, 1] = np.where([w.startswith("s") for w in b.vocab], -2.25, 1.0)
+    b = EmbeddingMatrix(b.vocab, right, b.name)
+    pair = _assert_moments_as_by_copy(a, b)
+    assert np.flatnonzero(pair.constant_columns).tolist() == [0, 2, 5]
+    kappa = correlation_matrix(pair)
+    assert kappa.degenerate_left == (0, 2)
+    assert kappa.degenerate_right == (1,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 2 * _COVARIANCE_CHUNK + 10),
+    dx=st.integers(1, 4),
+    dy=st.integers(1, 4),
+    extra_left=st.integers(0, 40),
+    extra_right=st.integers(0, 40),
+    seed=st.integers(0, 2**20),
+)
+def test_covariance_by_index_property(n, dx, dy, extra_left, extra_right, seed):
+    rng = np.random.default_rng(seed)
+    _assert_moments_as_by_copy(*_partial_pair(rng, n, dx, dy, extra_left, extra_right))
+
+
+def test_kappa_and_cca_by_index_allocate_less_than_one_aligned_side():
+    rng = np.random.default_rng(6)
+    n, d = 20_000, 32
+    a, b = _partial_pair(rng, n, d, d, extra_left=2_000, extra_right=2_000)
+    tracemalloc.start()
+    try:
+        pair = align_vocabularies(a, b)
+        correlation_matrix(pair)
+        cca_fit(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8, peak
 
 
 def test_correlation_matrix_self_has_unit_diagonal():

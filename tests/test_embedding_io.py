@@ -4,6 +4,7 @@ import pickle
 import re
 import signal
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -615,6 +616,34 @@ def test_matrix_validation_rejects_bad_input():
         EmbeddingMatrix(vocab=(), values=np.zeros((0, 1)))
     with pytest.raises(ValueError, match="2-D"):
         EmbeddingMatrix(vocab=("a",), values=np.zeros(3))
+
+
+def test_converted_input_is_not_copied_again():
+    # float32 (gensim's default) converts to a fresh float64 array, which
+    # the matrix keeps: one result-sized allocation, not two
+    values = np.random.default_rng(0).standard_normal((2000, 500)).astype(np.float32)
+    vocab = tuple(f"w{i}" for i in range(2000))
+    tracemalloc.start()
+    try:
+        e = EmbeddingMatrix(vocab, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * e.values.nbytes, peak
+    assert np.array_equal(e.values, values)
+    assert not e.values.flags.writeable
+
+
+def test_writeable_float64_input_is_copied_once():
+    values = np.arange(12.0).reshape(4, 3)
+    e = EmbeddingMatrix(tuple("abcd"), values)
+    assert not np.shares_memory(e.values, values)
+    values[0, 0] = 99.0  # the caller's array stays the caller's
+    assert e.values[0, 0] == 0.0
+    # a read-only float64 array is kept as it is
+    frozen = np.arange(12.0).reshape(4, 3)
+    frozen.flags.writeable = False
+    assert EmbeddingMatrix(tuple("abcd"), frozen).values is frozen
 
 
 # ---------------------------- parse_embedding in two halves (large files)
