@@ -30,7 +30,6 @@ _SOURCES = {
     "krippendorff_alpha": "analogy_eval",
     "parse_analogy_file": "analogy_eval",
     "CcaResult": "cca",
-    "NumericalError": "cca",
     "cca_fit": "cca",
     "CorrelationMatrix": "column_stats",
     "HistogramSummary": "column_stats",
@@ -38,6 +37,7 @@ _SOURCES = {
     "histogram": "column_stats",
     "AlignedPair": "embedding_io",
     "EmbeddingMatrix": "embedding_io",
+    "NumericalError": "embedding_io",
     "ParseError": "embedding_io",
     "align_vocabularies": "embedding_io",
     "parse_embedding": "embedding_io",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding_io import AlignedPair
+from .embedding_io import AlignedPair, NumericalError
 
 # Auto ridge: this factor times the mean eigenvalue of each side's
 # auto-covariance.  |V| >> D keeps covariances well-posed, but near-duplicate
@@ -29,10 +29,6 @@ RIDGE_FACTOR = 1e-12
 
 _EIG_DROP = 1e-12
 _UNIT_OVERSHOOT = 1e-6
-
-
-class NumericalError(RuntimeError):
-    """A linear-algebra step failed or produced out-of-range results."""
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ class CorrelationMatrix:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError(f"correlation matrix must be 2-D, got {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("correlation values must be finite")
         if values.size and (
             values.min() < -1.0 - _RANGE_TOL or values.max() > 1.0 + _RANGE_TOL
         ):

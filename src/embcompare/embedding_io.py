@@ -69,6 +69,10 @@ class ParseError(ValueError):
     """An embedding file violates its declared format."""
 
 
+class NumericalError(RuntimeError):
+    """A linear-algebra step failed or produced out-of-range results."""
+
+
 @contextmanager
 def opened(target: str | Path | IO, mode: str, **kwargs) -> Iterator[IO]:
     """``open(target, mode, **kwargs)`` for a path; an open handle as is.
@@ -150,51 +154,40 @@ class EmbeddingMatrix:
 class AlignedPair:
     """Two embeddings paired row by row over their shared vocabulary.
 
+    A pair holds both matrices as given (``sources``) and, per side, the
+    read-only indices of the shared words' rows, in the first one's order.
     ``AlignedPair(left, right)`` pairs two matrices whose vocabularies agree
-    element for element; ``sources`` is then ``(left, right)``.
-    :func:`align_vocabularies` pairs two matrices whose vocabularies differ
-    by index: ``sources`` holds both as given, and the pair holds the rows
-    of the shared words in each, in the first one's order.  ``left`` and
-    ``right``, the sources restricted to the shared words, are then built
-    on first access.  :attr:`covariance` and :attr:`constant_columns` read
-    the shared rows through the index, so ``compare`` never builds them.
+    element for element, row i with row i; its ``left`` and ``right`` are
+    the inputs.  :func:`align_vocabularies` pairs any two that share a
+    word; where the vocabularies differ, ``left`` and ``right``, the sources
+    restricted to the shared words, are built on first access.  :attr:`covariance` and :attr:`constant_columns` read the
+    shared rows through the indices, so ``compare`` never builds them.
+    ``dropped_left`` / ``dropped_right`` count each source's unpaired rows.
     Instances are immutable.
     """
 
-    def __init__(
-        self,
-        left: EmbeddingMatrix,
-        right: EmbeddingMatrix,
-        dropped_left: int = 0,
-        dropped_right: int = 0,
-    ):
+    def __init__(self, left: EmbeddingMatrix, right: EmbeddingMatrix):
         if left.vocab != right.vocab:
-            raise ValueError("left and right vocabularies differ")
-        self.__dict__.update(
-            sources=(left, right), dropped_left=dropped_left,
-            dropped_right=dropped_right, _rows=None, left=left, right=right,
-        )
+            raise ValueError(_vocab_mismatch(left.vocab, right.vocab))
+        rows = np.arange(left.n_words)
+        self._pair_rows(left, right, rows, rows)
+        self.__dict__.update(left=left, right=right)
 
-    @classmethod
-    def _by_index(
-        cls, a: EmbeddingMatrix, b: EmbeddingMatrix, a_rows: np.ndarray, b_rows: np.ndarray
-    ) -> AlignedPair:
-        """``a``'s rows ``a_rows`` paired with ``b``'s rows ``b_rows``."""
+    def _pair_rows(
+        self, a: EmbeddingMatrix, b: EmbeddingMatrix, a_rows: np.ndarray, b_rows: np.ndarray
+    ) -> None:
+        """Pair ``a``'s rows ``a_rows`` with ``b``'s rows ``b_rows``."""
         a_rows.flags.writeable = b_rows.flags.writeable = False
-        pair = cls.__new__(cls)
-        pair.__dict__.update(
-            sources=(a, b), dropped_left=a.n_words - a_rows.size,
-            dropped_right=b.n_words - b_rows.size, _rows=(a_rows, b_rows),
+        self.__dict__.update(
+            sources=(a, b), _rows=(a_rows, b_rows), dropped_left=a.n_words - a_rows.size,
+            dropped_right=b.n_words - b_rows.size,
         )
-        return pair
 
     def __setattr__(self, name, value):
         raise AttributeError(f"AlignedPair is immutable: cannot set {name!r}")
 
     @property
     def shared_count(self) -> int:
-        if self._rows is None:
-            return self.sources[0].n_words
         return self._rows[0].size
 
     @cached_property
@@ -224,8 +217,10 @@ class AlignedPair:
         are the left, right and cross covariances.  Two-pass (Chan, Golub &
         LeVeque, 1979): column means, then ``Z.T @ Z`` per row chunk of the
         centred ``Z = [left | right]``.  Each chunk of shared rows is read
-        from the two sources into one reused buffer, so no N-sized copy is
-        ever made; see :meth:`_moments`.
+        from the two sources by index into one reused buffer, so no N-sized
+        copy is ever made; see :meth:`_moments`.  Raises
+        :class:`NumericalError` when a side's values are too large for its
+        sums or products to stay finite in float64.
         """
         return self._moments[0]
 
@@ -247,12 +242,9 @@ class AlignedPair:
         for start in range(0, self.shared_count, _COVARIANCE_CHUNK):
             stop = min(start + _COVARIANCE_CHUNK, self.shared_count)
             chunk = buf[1 : stop - start + 1]
-            for k, cols in enumerate(self._columns):
-                values = self.sources[k].values
-                if self._rows is None:
-                    chunk[:, cols] = values[start:stop]
-                else:  # gather, then copy: faster than np.take into strided columns
-                    chunk[:, cols] = values[self._rows[k][start:stop]]
+            for side, rows, cols in zip(self.sources, self._rows, self._columns):
+                # gather, then copy: faster than np.take into strided columns
+                chunk[:, cols] = side.values[rows[start:stop]]
             yield chunk
 
     @cached_property
@@ -260,43 +252,65 @@ class AlignedPair:
         """``(covariance, constant_columns)``, to the bit as read from ``left``
         and ``right``.
 
-        With identical vocabularies the means and ranges are read from the
-        whole matrices.  Paired by index, a first pass over the chunks sums
-        the columns and tracks their max and min.  Each chunk is reduced
-        below the running sums in ``buf[0]``, so every column is summed row
-        by row from 0.0, as ``mean(axis=0)`` sums a matrix of two or more
-        columns; a one-column side, which numpy sums pairwise, is read whole.
-        The covariance pass then centres each chunk in place.
+        A first pass over the chunks sums the columns and tracks their max
+        and min.  Each chunk is reduced below the running sums in ``buf[0]``,
+        so every column is summed row by row from 0.0, as ``mean(axis=0)``
+        sums a matrix of two or more columns; a one-column side, which numpy
+        sums pairwise, is read whole.  The covariance pass then centres each
+        chunk in place.  Overflow is not warned about but checked: non-finite
+        sums or covariance raise :class:`NumericalError` naming the side.
         """
         n, sides = self.shared_count, self.sources
         width = sum(side.n_dims for side in sides)
         buf = np.empty((min(n, _COVARIANCE_CHUNK) + 1, width))
-        if self._rows is None:
-            values = [side.values for side in sides]
-            mean = np.concatenate([v.mean(axis=0) for v in values])
-            constant = np.concatenate([v.max(axis=0) == v.min(axis=0) for v in values])
-        else:
-            total = np.zeros(width)
-            hi, lo = np.full(width, -np.inf), np.full(width, np.inf)
+        total = np.zeros(width)
+        hi, lo = np.full(width, -np.inf), np.full(width, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
             for chunk in self._chunks(buf):
                 buf[0] = total
                 np.add.reduce(buf[: len(chunk) + 1], axis=0, out=total)
                 np.maximum(hi, chunk.max(axis=0), out=hi)
                 np.minimum(lo, chunk.min(axis=0), out=lo)
             mean = total / n
-            constant = hi == lo
             for side, rows, cols in zip(sides, self._rows, self._columns):
                 if side.n_dims == 1:
                     mean[cols] = side.values[rows].mean(axis=0)
-        cov = np.zeros((width, width))
-        product = np.empty_like(cov)
-        for chunk in self._chunks(buf):
-            chunk -= mean
-            np.matmul(chunk.T, chunk, out=product)
-            cov += product
+            self._check_finite(mean, "column sums overflow")
+            cov = np.zeros((width, width))
+            product = np.empty_like(cov)
+            for chunk in self._chunks(buf):
+                chunk -= mean
+                np.matmul(chunk.T, chunk, out=product)
+                cov += product
         cov /= n
+        self._check_finite(cov, "covariance overflows")
+        constant = hi == lo
         cov.flags.writeable = constant.flags.writeable = False
         return cov, constant
+
+    def _check_finite(self, moments: np.ndarray, what: str) -> None:
+        """Raise :class:`NumericalError` naming the first side whose entries
+        of ``moments`` (its columns, or its rows of a covariance) are not finite."""
+        for name, cols in zip(("left", "right"), self._columns):
+            if not np.isfinite(moments[cols]).all():
+                raise NumericalError(
+                    f"{name} {what} float64: its values are too large"
+                )
+
+
+def _vocab_mismatch(left: tuple[str, ...], right: tuple[str, ...]) -> str:
+    """Where two vocabularies first differ: their lengths, or else the first
+    index (from 0) and both words there."""
+    if len(left) != len(right):
+        return (
+            f"left and right vocabularies differ: {len(left)} words against "
+            f"{len(right)}"
+        )
+    i = next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
+    return (
+        f"left and right vocabularies differ at index {i}: {left[i]!r} against "
+        f"{right[i]!r}"
+    )
 
 
 def _decoded(line: bytes | str, lineno: int, error: type[ValueError]) -> str:
@@ -842,12 +856,12 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     """Pair both embeddings over their shared vocabulary, in ``a``'s order.
 
     Raises ``ValueError`` when the vocabularies are disjoint.  No values are
-    copied: when the vocabularies agree element for element the pair holds
-    the input matrices themselves (they are immutable), and otherwise the
-    rows each side shares, by index.
+    copied: the pair holds the input matrices (they are immutable) and the
+    rows each side shares, by index.  When the vocabularies agree element
+    for element it is ``AlignedPair(a, b)``, whose ``left`` is ``a``.
     """
     if a.vocab == b.vocab:
-        return AlignedPair(left=a, right=b)
+        return AlignedPair(a, b)
 
     # one walk over a's words: each word's row in b, or -1 where b lacks it.
     # The lookup is local, not b.index: that would stay cached on b, which
@@ -861,7 +875,9 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
         raise ValueError(
             f"embeddings {a.name!r} and {b.name!r} share no vocabulary"
         )
-    return AlignedPair._by_index(a, b, a_rows, b_rows[a_rows])
+    pair = AlignedPair.__new__(AlignedPair)
+    pair._pair_rows(a, b, a_rows, b_rows[a_rows])
+    return pair
 
 
 def row_normalize(e: EmbeddingMatrix) -> tuple[EmbeddingMatrix, int]:

@@ -840,6 +840,26 @@ def test_compare_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical" in err
 
 
+def test_compare_overflowing_covariance_exits_two(tmp_path, capsys):
+    # values near 1e160 square past float64; numpy's overflow warnings are
+    # errors here, so none may come before the one numerical error
+    rng = np.random.default_rng(2)
+    big = make_embedding(rng.standard_normal((40, 3)) * 1e160)
+    write_glove_text(big, tmp_path / "big.txt")
+    for right in (big, make_embedding(rng.standard_normal((40, 3)))):
+        write_glove_text(right, tmp_path / "right.txt")
+        code, out, err = run(
+            capsys, "compare", tmp_path / "big.txt", tmp_path / "right.txt",
+            "--no-timestamp", "--out", tmp_path / "report.json",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "embcompare: numerical error: left covariance overflows float64: "
+            "its values are too large\n"
+        )
+
+
 def test_non_finite_regularization_exits_one(synth_files, capsys):
     left, right = synth_files
     for bad in ("nan", "inf"):

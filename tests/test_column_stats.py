@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from embcompare import (
     AlignedPair,
+    NumericalError,
     align_vocabularies,
     cca_fit,
     correlation_matrix,
     histogram,
 )
+from embcompare import cca
 from embcompare.column_stats import KDE_POINTS, CorrelationMatrix
 from embcompare.embedding_io import EmbeddingMatrix
 from embcompare.embedding_io import _COVARIANCE_CHUNK
@@ -39,6 +41,29 @@ def test_covariance_matches_numpy(rows):
     right = rng.standard_normal((rows, 4)) * 2.0 - 1.0
     expected = np.cov(np.hstack([left, right]).T, bias=True)
     assert np.allclose(_pair(left, right).covariance, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scale_left, scale_right, problem",
+    [
+        (1e160, 1e160, "left covariance overflows float64"),
+        (1e160, 1.0, "left covariance overflows float64"),
+        (1.0, 1e160, "right covariance overflows float64"),
+        # 40 positive values near 2e307 sum past the float64 maximum
+        (2e307, 1.0, "left column sums overflow float64"),
+    ],
+    ids=["both", "left", "right", "sums"],
+)
+def test_covariance_overflow_is_a_numerical_error(scale_left, scale_right, problem):
+    # numpy's overflow warnings are errors here, so none may come first
+    rng = np.random.default_rng(8)
+    values = 1.0 + np.abs(rng.standard_normal((40, 3)))
+    pair = _pair(values * scale_left, values[:, ::-1] * scale_right)
+    with pytest.raises(NumericalError, match=problem):
+        correlation_matrix(pair)
+    with pytest.raises(NumericalError, match=problem):
+        cca_fit(pair)
+    assert cca.NumericalError is NumericalError
 
 
 def test_kappa_and_cca_share_one_covariance_pass(monkeypatch):
@@ -74,17 +99,28 @@ def _partial_pair(rng, n, dx, dy, extra_left, extra_right):
     return sources
 
 
+def _identical_pair(rng, n, dx, dy):
+    """Sources over equal vocabulary tuples, in one order."""
+    a, b = _partial_pair(rng, n, dx, dy, 0, 0)
+    return a, EmbeddingMatrix(tuple(list(a.vocab)), b.values, b.name)
+
+
 def _assert_moments_as_by_copy(a, b):
-    pair = align_vocabularies(a, b)
     words = [w for w in a.vocab if w in b.index]
     x = a.values[[a.index[w] for w in words]]
     y = b.values[[b.index[w] for w in words]]
     cov, constant = moments_by_copy(x, y, _COVARIANCE_CHUNK)
-    assert pair.covariance.tobytes() == cov.tobytes()
-    assert pair.constant_columns.tolist() == constant.tolist()
-    if a.vocab != b.vocab:  # paired by index: no aligned copy was built
-        assert "left" not in pair.__dict__ and "right" not in pair.__dict__
-    return pair
+    pairs = [align_vocabularies(a, b)]
+    if a.vocab == b.vocab:
+        pairs.append(AlignedPair(a, b))
+    for pair in pairs:
+        assert pair.covariance.tobytes() == cov.tobytes()
+        assert pair.constant_columns.tolist() == constant.tolist()
+        if a.vocab == b.vocab:  # row i with row i: the inputs, not copies
+            assert pair.left is a and pair.right is b
+        else:  # paired by index: no aligned copy was built
+            assert "left" not in pair.__dict__ and "right" not in pair.__dict__
+    return pairs[0]
 
 
 @pytest.mark.parametrize(
@@ -97,6 +133,8 @@ def test_covariance_by_index_is_bitwise_the_copy_route(n):
     _assert_moments_as_by_copy(a, b)
     # the same words in both orders, so nothing is dropped
     _assert_moments_as_by_copy(*_partial_pair(rng, n, 3, 3, 0, 0))
+    # the same words in one order, with a one-column side
+    _assert_moments_as_by_copy(*_identical_pair(rng, n, 4, 1))
 
 
 def test_constant_columns_are_read_over_the_shared_rows_only():
@@ -125,10 +163,14 @@ def test_constant_columns_are_read_over_the_shared_rows_only():
     extra_left=st.integers(0, 40),
     extra_right=st.integers(0, 40),
     seed=st.integers(0, 2**20),
+    identical=st.booleans(),
 )
-def test_covariance_by_index_property(n, dx, dy, extra_left, extra_right, seed):
+def test_covariance_by_index_property(n, dx, dy, extra_left, extra_right, seed, identical):
     rng = np.random.default_rng(seed)
-    _assert_moments_as_by_copy(*_partial_pair(rng, n, dx, dy, extra_left, extra_right))
+    if identical:
+        _assert_moments_as_by_copy(*_identical_pair(rng, n, dx, dy))
+    else:
+        _assert_moments_as_by_copy(*_partial_pair(rng, n, dx, dy, extra_left, extra_right))
 
 
 def test_kappa_and_cca_by_index_allocate_less_than_one_aligned_side():
@@ -261,6 +303,9 @@ def test_correlation_matrix_needs_two_rows():
 def test_correlation_matrix_validates_range():
     with pytest.raises(ValueError, match="outside"):
         CorrelationMatrix(values=np.array([[1.5]]))
+    # a NaN compares false with both ends of the range
+    with pytest.raises(ValueError, match="finite"):
+        CorrelationMatrix(values=np.array([[np.nan, 0.5]]))
 
 
 def test_histogram_two_bins():

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from embcompare import (
+    AlignedPair,
     EmbeddingMatrix,
     ParseError,
     align_vocabularies,
@@ -541,6 +542,14 @@ def test_align_identical_is_lossless():
     assert pair.shared_count == a.n_words
     assert pair.dropped_left == pair.dropped_right == 0
     assert pair.left.values is a.values  # no copy needed
+
+
+def test_aligned_pair_names_where_vocabularies_differ():
+    a = make_embedding(np.zeros((3, 1)), vocab=("a", "b", "c"))
+    with pytest.raises(ValueError, match="differ at index 1: 'b' against 'c'"):
+        AlignedPair(a, make_embedding(np.zeros((3, 1)), vocab=("a", "c", "b")))
+    with pytest.raises(ValueError, match="differ: 3 words against 2"):
+        AlignedPair(a, make_embedding(np.zeros((2, 1)), vocab=("a", "b")))
 
 
 def test_align_disjoint_errors():
