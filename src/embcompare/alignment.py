@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .column_stats import CorrelationMatrix
+from .embedding_io import read_only
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,13 @@ class Matching:
     abs_objective: bool = False
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.intp)
+        a = read_only(self.assignment, np.intp)
         if sorted(a.tolist()) != list(range(a.shape[0])):
             raise ValueError("assignment is not a permutation")
         object.__setattr__(self, "assignment", a)
+        object.__setattr__(
+            self, "matched_correlations", read_only(self.matched_correlations)
+        )
 
     @property
     def zeta_1to1(self) -> float:

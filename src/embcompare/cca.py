@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding_io import AlignedPair, NumericalError
+from .embedding_io import AlignedPair, NumericalError, read_only
 
 # Auto ridge: this factor times the mean eigenvalue of each side's
 # auto-covariance.  |V| >> D keeps covariances well-posed, but near-duplicate
@@ -48,16 +48,13 @@ class CcaResult:
     dropped_right: int = 0
 
     def __post_init__(self):
-        corr = np.asarray(self.correlations, dtype=np.float64)
+        corr = read_only(self.correlations, np.float64)
         if corr.ndim != 1 or corr.size == 0:
             raise ValueError("correlations must be a non-empty vector")
         if (np.diff(corr) > 0).any():
             raise ValueError("correlations must be sorted descending")
         if corr.min() < 0.0 or corr.max() > 1.0 + 1e-9:
             raise ValueError("correlations outside [0, 1]")
-        if corr.flags.writeable:
-            corr = corr.copy()
-            corr.flags.writeable = False
         object.__setattr__(self, "correlations", corr)
 
     @property

@@ -63,6 +63,14 @@ from .synthgen import (  # noqa: E402
     random_sign_mask,
 )
 
+# synth --transform: each name's transform factory, called as (dims, seed)
+_SYNTH_TRANSFORMS = {
+    "identity": None,
+    "permutation": random_permutation,
+    "sign_flip": random_sign_mask,
+    "linear": random_invertible,
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; remap to 1 (input error)."""
@@ -293,20 +301,12 @@ def cmd_agreement(args) -> int:
 
 def cmd_synth(args) -> int:
     base = random_embedding(args.rows, args.dims, args.seed)
-    if args.transform == "identity":
-        transforms = ()
-    elif args.transform == "permutation":
-        transforms = (random_permutation(args.dims, args.seed),)
-    elif args.transform == "sign_flip":
-        transforms = (random_sign_mask(args.dims, args.seed),)
-    elif args.transform == "linear":
-        transforms = (random_invertible(args.dims, args.seed),)
-    else:  # argparse choices make this unreachable
-        raise ValueError(f"unknown transform {args.transform!r}")
+    make = _SYNTH_TRANSFORMS[args.transform]
+    transforms = (make(args.dims, args.seed),) if make else ()
     spec = SynthSpec(transforms=transforms, noise_sigma=args.sigma, seed=args.seed)
-    pair = derive_pair(base, spec)
-    write_left = partial(write_glove_text, pair.left, args.out_left)
-    write_right = partial(write_glove_text, pair.right, args.out_right)
+    left, right = derive_pair(base, spec).sources
+    write_left = partial(write_glove_text, left, args.out_left)
+    write_right = partial(write_glove_text, right, args.out_right)
     if os.path.realpath(args.out_left) == os.path.realpath(args.out_right):
         write_left()  # one file, which ends up holding the right matrix
         write_right()
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--transform",
-        choices=["identity", "permutation", "sign_flip", "linear"],
+        choices=_SYNTH_TRANSFORMS,
         default="identity",
     )
     p.add_argument("--sigma", type=float, default=0.0, help="noise level")

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding_io import AlignedPair
+from .embedding_io import AlignedPair, read_only
 
 DEFAULT_BINS = 60
 # histogram allocates bins + 1 edges, so an unbounded count exhausts memory;
@@ -48,7 +48,7 @@ class CorrelationMatrix:
     degenerate_right: tuple[int, ...] = ()
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = read_only(self.values, np.float64)
         if values.ndim != 2:
             raise ValueError(f"correlation matrix must be 2-D, got {values.shape}")
         if not np.isfinite(values).all():
@@ -57,9 +57,6 @@ class CorrelationMatrix:
             values.min() < -1.0 - _RANGE_TOL or values.max() > 1.0 + _RANGE_TOL
         ):
             raise ValueError("correlation values outside [-1, 1]")
-        if values.flags.writeable:
-            values = values.copy()
-            values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
 
@@ -71,6 +68,12 @@ class HistogramSummary:
     counts: np.ndarray
     median: float
     kde_points: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("bin_edges", "counts", "kde_points"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, read_only(value))
 
     def to_json_dict(self) -> dict:
         d = {
@@ -104,6 +107,7 @@ def correlation_matrix(pair: AlignedPair) -> CorrelationMatrix:
     out[degenerate[:d], :] = 0.0
     out[:, degenerate[d:]] = 0.0
     np.clip(out, -1.0, 1.0, out=out)
+    out.flags.writeable = False  # fresh: CorrelationMatrix need not copy it
     return CorrelationMatrix(
         values=out,
         degenerate_left=tuple(int(i) for i in np.flatnonzero(degenerate[:d])),
@@ -173,7 +177,6 @@ def histogram(
         density = _gaussian_kde(vals, xs)
         if density is not None:
             kde_points = np.column_stack([xs, density])
-            kde_points.flags.writeable = False
 
     return HistogramSummary(
         bin_edges=edges, counts=counts, median=median, kde_points=kde_points

@@ -94,14 +94,28 @@ def write_csv_rows(dest: str | Path | IO, header: Sequence, rows: Iterable) -> N
         w.writerows(rows)
 
 
+def read_only(value, dtype=None) -> np.ndarray:
+    """``value`` as a read-only array (of ``dtype``, if given), for a frozen
+    result type to keep.
+
+    It is copied only where it may still share memory with a writeable array
+    of the caller's, which stays writeable; a converted array (float32 input,
+    say) or one the caller already made read-only is kept as is.
+    """
+    array = np.asarray(value, dtype=dtype)
+    if array.flags.writeable and np.may_share_memory(array, value):
+        array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """A vocabulary plus one dense row vector per word.
 
-    ``values`` has shape ``(len(vocab), n_dims)`` and is made read-only on
-    construction so instances can be shared freely between threads.  It is
-    converted to float64 and copied only where the result may still share
-    memory with a writeable array of the caller's.
+    ``values`` has shape ``(len(vocab), n_dims)``; it is converted to
+    float64 and made read-only by :func:`read_only`, so instances can be
+    shared freely between threads.
     """
 
     vocab: tuple[str, ...]
@@ -110,7 +124,7 @@ class EmbeddingMatrix:
 
     def __post_init__(self):
         vocab = tuple(self.vocab)
-        values = np.asarray(self.values, dtype=np.float64)
+        values = read_only(self.values, np.float64)
         if values.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
         if values.shape[1] < 1:
@@ -130,10 +144,6 @@ class EmbeddingMatrix:
                 seen.add(w)
         if not np.isfinite(values).all():
             raise ValueError("embedding contains non-finite values")
-        # a converted array (float32 input, say) is this matrix's own already
-        if values.flags.writeable and np.may_share_memory(values, self.values):
-            values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "values", values)
 
@@ -154,24 +164,16 @@ class EmbeddingMatrix:
 class AlignedPair:
     """Two embeddings paired row by row over their shared vocabulary.
 
-    A pair holds both matrices as given (``sources``) and, per side, the
-    read-only indices of the shared words' rows, in the first one's order.
-    ``AlignedPair(left, right)`` pairs two matrices whose vocabularies agree
-    element for element, row i with row i; its ``left`` and ``right`` are
-    the inputs.  :func:`align_vocabularies` pairs any two that share a
-    word; where the vocabularies differ, ``left`` and ``right``, the sources
-    restricted to the shared words, are built on first access.  :attr:`covariance` and :attr:`constant_columns` read the
-    shared rows through the indices, so ``compare`` never builds them.
+    Every pair is made by :func:`align_vocabularies`.  A pair holds both
+    matrices as given (``sources``) and, per side, the read-only indices of
+    the shared words' rows, in the first one's order.  :attr:`covariance`
+    and :attr:`constant_columns` read the shared rows through the indices,
+    so ``compare`` never builds them.  ``left`` and ``right`` are each side
+    restricted to the shared words: the source itself where that side keeps
+    all of its rows in order, else a copy built on first access.
     ``dropped_left`` / ``dropped_right`` count each source's unpaired rows.
     Instances are immutable.
     """
-
-    def __init__(self, left: EmbeddingMatrix, right: EmbeddingMatrix):
-        if left.vocab != right.vocab:
-            raise ValueError(_vocab_mismatch(left.vocab, right.vocab))
-        rows = np.arange(left.n_words)
-        self._pair_rows(left, right, rows, rows)
-        self.__dict__.update(left=left, right=right)
 
     def _pair_rows(
         self, a: EmbeddingMatrix, b: EmbeddingMatrix, a_rows: np.ndarray, b_rows: np.ndarray
@@ -200,6 +202,8 @@ class AlignedPair:
 
     def _restricted(self, side: int) -> EmbeddingMatrix:
         source, rows = self.sources[side], self._rows[side]
+        if np.array_equal(rows, np.arange(source.n_words)):
+            return source  # every row, in order: no copy needed
         values = source.values[rows]
         values.flags.writeable = False  # fresh: EmbeddingMatrix keeps it without a copy
         return EmbeddingMatrix(vocab=self._vocab, values=values, name=source.name)
@@ -296,21 +300,6 @@ class AlignedPair:
                 raise NumericalError(
                     f"{name} {what} float64: its values are too large"
                 )
-
-
-def _vocab_mismatch(left: tuple[str, ...], right: tuple[str, ...]) -> str:
-    """Where two vocabularies first differ: their lengths, or else the first
-    index (from 0) and both words there."""
-    if len(left) != len(right):
-        return (
-            f"left and right vocabularies differ: {len(left)} words against "
-            f"{len(right)}"
-        )
-    i = next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
-    return (
-        f"left and right vocabularies differ at index {i}: {left[i]!r} against "
-        f"{right[i]!r}"
-    )
 
 
 def _decoded(line: bytes | str, lineno: int, error: type[ValueError]) -> str:
@@ -855,14 +844,13 @@ def _fallback_cells(values: np.ndarray) -> np.ndarray:
 def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     """Pair both embeddings over their shared vocabulary, in ``a``'s order.
 
-    Raises ``ValueError`` when the vocabularies are disjoint.  No values are
-    copied: the pair holds the input matrices (they are immutable) and the
-    rows each side shares, by index.  When the vocabularies agree element
-    for element it is ``AlignedPair(a, b)``, whose ``left`` is ``a``.
+    The only way to make an :class:`AlignedPair`.  Raises ``ValueError``
+    when the vocabularies are disjoint.  No values are copied: the pair
+    holds the input matrices (they are immutable) and the rows each side
+    shares, by index.  A side whose rows are all shared, in order, is its
+    own ``left`` or ``right``: both are, ``a`` and ``b`` themselves, when
+    the vocabularies agree element for element.
     """
-    if a.vocab == b.vocab:
-        return AlignedPair(a, b)
-
     # one walk over a's words: each word's row in b, or -1 where b lacks it.
     # The lookup is local, not b.index: that would stay cached on b, which
     # compare keeps alive to the end, and nothing reads it after this.

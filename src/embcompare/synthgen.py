@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding_io import AlignedPair, EmbeddingMatrix
+from .embedding_io import AlignedPair, EmbeddingMatrix, align_vocabularies, read_only
 
 MAX_CONDITION = 1e12
 
@@ -36,7 +36,7 @@ class Permutation:
     order: np.ndarray
 
     def __post_init__(self):
-        order = np.asarray(self.order, dtype=np.intp)
+        order = read_only(self.order, np.intp)
         if sorted(order.tolist()) != list(range(order.shape[0])):
             raise ValueError("order is not a permutation")
         object.__setattr__(self, "order", order)
@@ -59,7 +59,7 @@ class SignFlip:
     mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = read_only(self.mask, bool)
         if mask.ndim != 1:
             raise ValueError(f"mask must be 1-D, got shape {mask.shape}")
         object.__setattr__(self, "mask", mask)
@@ -83,7 +83,7 @@ class Linear:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = read_only(self.matrix, np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"mixing matrix must be square, got {m.shape}")
         cond = np.linalg.cond(m)
@@ -193,9 +193,10 @@ def random_invertible(n_dims: int, seed: int) -> Linear:
 def derive_pair(base: EmbeddingMatrix, spec: SynthSpec) -> AlignedPair:
     """Apply a transform chain plus i.i.d. Gaussian noise to a base embedding.
 
-    The left side of the returned pair is ``base`` itself; the right side is
-    the derived embedding.  Noise is added after all transforms.  Every
-    transform must be as wide as ``base``.
+    Returns ``align_vocabularies(base, derived)``: the derived embedding has
+    ``base``'s vocabulary, so the pair's ``sources`` (and ``left`` and
+    ``right``) are ``base`` itself and the derived embedding.  Noise is
+    added after all transforms.  Every transform must be as wide as ``base``.
     """
     values = base.values
     for i, step in enumerate(spec.transforms):
@@ -214,4 +215,4 @@ def derive_pair(base: EmbeddingMatrix, spec: SynthSpec) -> AlignedPair:
     derived = EmbeddingMatrix(
         vocab=base.vocab, values=values, name=f"{base.name}-derived"
     )
-    return AlignedPair(left=base, right=derived)
+    return align_vocabularies(base, derived)

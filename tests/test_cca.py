@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embcompare import (
-    AlignedPair,
     EmbeddingMatrix,
     align_vocabularies,
     cca_fit,
@@ -84,7 +83,7 @@ def test_scores_invariant_under_shared_row_reordering(n_rows, n_dims, sigma, see
     def reordered(e):
         return EmbeddingMatrix(tuple(e.vocab[i] for i in order), e.values[order], e.name)
 
-    shuffled = AlignedPair(left=reordered(pair.left), right=reordered(pair.right))
+    shuffled = align_vocabularies(reordered(pair.left), reordered(pair.right))
     before = one_to_one_score(correlation_matrix(pair), use_abs=True)
     after = one_to_one_score(correlation_matrix(shuffled), use_abs=True)
     assert after.assignment.tolist() == before.assignment.tolist()
@@ -147,7 +146,7 @@ def test_correlations_invariant_under_invertible_mixing(
         left = mixed(left, seed + 3)
     if mixed_side in ("right", "both"):
         right = mixed(right, seed + 4)
-    remixed = AlignedPair(left=left, right=right)
+    remixed = align_vocabularies(left, right)
 
     before, after = cca_fit(pair), cca_fit(remixed)
     assert after.k == before.k == n_dims

@@ -11,7 +11,14 @@ import pytest
 import embcompare
 from embcompare import parse_embedding, write_glove_text
 from embcompare.cli import main
-from embcompare.synthgen import SynthSpec, derive_pair, random_embedding, random_invertible
+from embcompare.synthgen import (
+    SynthSpec,
+    derive_pair,
+    random_embedding,
+    random_invertible,
+    random_permutation,
+    random_sign_mask,
+)
 from helpers import (
     ANSWERS_HEADER,
     MALFORMED_ANSWER_ROWS,
@@ -107,17 +114,25 @@ def test_synth_has_no_name_option(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-def test_synth_files_match_the_library_writer(tmp_path, capsys):
+@pytest.mark.parametrize("transform", ["identity", "permutation", "sign_flip", "linear"])
+def test_synth_files_match_the_library_writer(tmp_path, capsys, transform):
     left, right, truth = tmp_path / "l.txt", tmp_path / "r.txt", tmp_path / "t.json"
     code, _, _ = run(
         capsys, "synth", "--rows", "700", "--dims", "6", "--seed", "8",
-        "--transform", "linear", "--sigma", "0.3", "--out-left", left,
+        "--transform", transform, "--sigma", "0.3", "--out-left", left,
         "--out-right", right, "--truth", truth,
     )
     assert code == 0
     assert_no_child_left()
     base = random_embedding(700, 6, 8)
-    spec = SynthSpec(transforms=(random_invertible(6, 8),), noise_sigma=0.3, seed=8)
+    make = {
+        "identity": None,
+        "permutation": random_permutation,
+        "sign_flip": random_sign_mask,
+        "linear": random_invertible,
+    }[transform]
+    transforms = (make(6, 8),) if make else ()
+    spec = SynthSpec(transforms=transforms, noise_sigma=0.3, seed=8)
     pair = derive_pair(base, spec)
     for e, path in ((pair.left, left), (pair.right, right)):
         expected = tmp_path / "expected.txt"

@@ -110,17 +110,14 @@ def _assert_moments_as_by_copy(a, b):
     x = a.values[[a.index[w] for w in words]]
     y = b.values[[b.index[w] for w in words]]
     cov, constant = moments_by_copy(x, y, _COVARIANCE_CHUNK)
-    pairs = [align_vocabularies(a, b)]
-    if a.vocab == b.vocab:
-        pairs.append(AlignedPair(a, b))
-    for pair in pairs:
-        assert pair.covariance.tobytes() == cov.tobytes()
-        assert pair.constant_columns.tolist() == constant.tolist()
-        if a.vocab == b.vocab:  # row i with row i: the inputs, not copies
-            assert pair.left is a and pair.right is b
-        else:  # paired by index: no aligned copy was built
-            assert "left" not in pair.__dict__ and "right" not in pair.__dict__
-    return pairs[0]
+    pair = align_vocabularies(a, b)
+    assert pair.covariance.tobytes() == cov.tobytes()
+    assert pair.constant_columns.tolist() == constant.tolist()
+    if a.vocab == b.vocab:  # row i with row i: the inputs, not copies
+        assert pair.left is a and pair.right is b
+    else:  # paired by index: no aligned copy was built
+        assert "left" not in pair.__dict__ and "right" not in pair.__dict__
+    return pair
 
 
 @pytest.mark.parametrize(

@@ -542,14 +542,20 @@ def test_align_identical_is_lossless():
     assert pair.shared_count == a.n_words
     assert pair.dropped_left == pair.dropped_right == 0
     assert pair.left.values is a.values  # no copy needed
+    assert pair.left is a and pair.right is b
+    # every left word shared, in order, against extra right words:
+    # only the right side is restricted
+    wider = make_embedding(np.arange(8.0).reshape(4, 2), vocab=(*a.vocab, "extra"))
+    pair = align_vocabularies(a, wider)
+    assert pair.left is a
+    assert pair.right is not wider and pair.right.vocab == a.vocab
+    assert np.array_equal(pair.right.values, wider.values[:3])
 
 
-def test_aligned_pair_names_where_vocabularies_differ():
-    a = make_embedding(np.zeros((3, 1)), vocab=("a", "b", "c"))
-    with pytest.raises(ValueError, match="differ at index 1: 'b' against 'c'"):
-        AlignedPair(a, make_embedding(np.zeros((3, 1)), vocab=("a", "c", "b")))
-    with pytest.raises(ValueError, match="differ: 3 words against 2"):
-        AlignedPair(a, make_embedding(np.zeros((2, 1)), vocab=("a", "b")))
+def test_pairs_come_only_from_align_vocabularies():
+    a = make_embedding([[1.0], [2.0]])
+    with pytest.raises(TypeError, match="takes no arguments"):
+        AlignedPair(a, a)
 
 
 def test_align_disjoint_errors():
