@@ -30,6 +30,7 @@ nominal labels over two raters.
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import astuple, dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .embedding_io import EmbeddingMatrix, opened, row_normalize, split_lines
+from .embedding_io import EmbeddingMatrix, _decoded, opened, row_normalize
 from .embedding_io import write_csv_rows
 
 SKIPPED = "SKIPPED"
@@ -194,28 +195,33 @@ def parse_analogy_file(
     """Parse ``: category`` headers and four-word question lines.
 
     Lines with any other token count are errors, as is a question appearing
-    before the first category header.
+    before the first category header.  Lines are decoded one at a time, so
+    invalid UTF-8 is an error naming its line.
     """
     questions: list[AnalogyQuestion] = []
     category: str | None = None
-    for lineno, parts in split_lines(source, error=AnalogyParseError):
-        if parts[0] == ":":
-            if len(parts) != 2:
+    with opened(source, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = _decoded(line, lineno, AnalogyParseError).split()
+            if not parts:
+                continue
+            if parts[0] == ":":
+                if len(parts) != 2:
+                    raise AnalogyParseError(
+                        f"line {lineno}: malformed category header {' '.join(parts)!r}"
+                    )
+                category = parts[1]
+                continue
+            if len(parts) != 4:
                 raise AnalogyParseError(
-                    f"line {lineno}: malformed category header {' '.join(parts)!r}"
+                    f"line {lineno}: expected 4 words, got {len(parts)}"
                 )
-            category = parts[1]
-            continue
-        if len(parts) != 4:
-            raise AnalogyParseError(
-                f"line {lineno}: expected 4 words, got {len(parts)}"
-            )
-        if category is None:
-            raise AnalogyParseError(
-                f"line {lineno}: question appears before any ': category' header"
-            )
-        a, b, c, d = (p.lower() for p in parts) if lowercase else parts
-        questions.append(AnalogyQuestion(a=a, b=b, c=c, d=d, category=category))
+            if category is None:
+                raise AnalogyParseError(
+                    f"line {lineno}: question appears before any ': category' header"
+                )
+            a, b, c, d = (p.lower() for p in parts) if lowercase else parts
+            questions.append(AnalogyQuestion(a=a, b=b, c=c, d=d, category=category))
     return questions
 
 
@@ -450,25 +456,29 @@ def read_answers_csv(source: str | Path | IO) -> list[dict]:
     spelling its 0-based position as ``analogy`` does (so disagreements
     cite each question once: ``00`` is no second form of ``0``), a status
     of ANSWERED or SKIPPED, and a non-empty ``predicted`` exactly when the
-    status is ANSWERED.  A row that breaks any of these raises
-    ``ValueError`` naming the file and CSV line.
+    status is ANSWERED.  A row that breaks any of these, invalid UTF-8 or a
+    row the CSV reader rejects (a field over its size limit, say) raises
+    ``ValueError`` naming the CSV line.  The file is decoded in one call.
     """
-    with opened(source, "r", newline="", encoding="utf-8") as fh:
-        name = getattr(fh, "name", "answers CSV")
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames
-        if fields is None or not set(ANSWER_COLUMNS).issubset(fields):
-            raise ValueError(
-                f"answers CSV must have columns {sorted(ANSWER_COLUMNS)}, "
-                f"got {fields}"
-            )
-        rows = []
-        for position, row in enumerate(reader):
-            problem = _answer_row_problem(row, position)
-            if problem is not None:
-                raise ValueError(f"{name}: line {reader.line_num}: {problem}")
-            rows.append(row)
-        return rows
+    with opened(source, "rb") as fh:
+        text = _decoded(fh.read(), 1, ValueError)
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        try:
+            fields = reader.fieldnames
+            if fields is None or not set(ANSWER_COLUMNS).issubset(fields):
+                raise ValueError(
+                    f"answers CSV must have columns {sorted(ANSWER_COLUMNS)}, "
+                    f"got {fields}"
+                )
+            rows = []
+            for position, row in enumerate(reader):
+                problem = _answer_row_problem(row, position)
+                if problem is not None:
+                    raise ValueError(f"line {reader.line_num}: {problem}")
+                rows.append(row)
+        except csv.Error as exc:  # DictReader counts only the lines it returned
+            raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
+    return rows
 
 
 def _answer_row_problem(row: dict, position: int) -> str | None:

@@ -78,12 +78,21 @@ def opened(target: str | Path | IO, mode: str, **kwargs) -> Iterator[IO]:
     """``open(target, mode, **kwargs)`` for a path; an open handle as is.
 
     A path is closed on exit; a handle passed in is left open for its owner.
+    For a path, a ``ValueError`` raised in the block is raised again, of the
+    same type, with ``"<path>: "`` before its message, so every reader's
+    errors name their file; a handle's are left unnamed.  ``UnicodeError``,
+    which cannot be rebuilt from a message, passes through as it is.
     """
-    if isinstance(target, (str, Path)):
-        with open(target, mode, **kwargs) as fh:
-            yield fh
-    else:
+    if not isinstance(target, (str, Path)):
         yield target
+        return
+    with open(target, mode, **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeError:
+            raise
+        except ValueError as exc:
+            raise type(exc)(f"{target}: {exc}") from None
 
 
 def write_csv_rows(dest: str | Path | IO, header: Sequence, rows: Iterable) -> None:
@@ -302,28 +311,16 @@ class AlignedPair:
                 )
 
 
-def _decoded(line: bytes | str, lineno: int, error: type[ValueError]) -> str:
-    if isinstance(line, bytes):
+def _decoded(text: bytes | str, lineno: int, error: type[ValueError]) -> str:
+    """``text``, whose first line is line ``lineno``, as a str; invalid UTF-8
+    raises ``error`` naming the line it is on.  A str is returned as is."""
+    if isinstance(text, bytes):
         try:
-            return line.decode("utf-8")
-        except UnicodeDecodeError:
+            return text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno += text.count(b"\n", 0, exc.start)
             raise error(f"line {lineno}: input is not valid UTF-8") from None
-    return line
-
-
-def split_lines(
-    source: str | Path | IO, error: type[ValueError] = ParseError
-) -> Iterator[tuple[int, list[str]]]:
-    """``(line number, whitespace-split tokens)`` for every non-blank line.
-
-    Paths are read as bytes and decoded line by line, so invalid UTF-8 is
-    reported as ``error`` naming its line; open handles may yield bytes or str.
-    """
-    with opened(source, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = _decoded(line, lineno, error).split()
-            if parts:
-                yield lineno, parts
+    return text
 
 
 def _looks_like_header(parts: list[str]) -> bool:
@@ -447,18 +444,15 @@ def _append_rows(
         seen[word] = lineno
 
 
-def parse_embedding(
-    source: str | Path | IO,
-    format_hint: str = "auto",
-    name: str | None = None,
-) -> EmbeddingMatrix:
+def parse_embedding(source: str | Path | IO, format_hint: str = "auto") -> EmbeddingMatrix:
     """Parse a text embedding file into a validated :class:`EmbeddingMatrix`.
 
     ``format_hint`` is one of ``auto``, ``word2vec_text`` or ``glove_text``.
     In ``auto`` mode the file is treated as word2vec_text exactly when its
     first line parses as two positive integers.  Duplicate words, ragged
     rows, non-finite values and empty files are all hard errors; a
-    :class:`ParseError` from a path starts with that path.
+    :class:`ParseError` from a path starts with that path (:func:`opened`).
+    The matrix is named after a path's stem, or ``embedding`` for a handle.
 
     A path of more than ``_SPLIT_BLOCKS`` blocks (4 MiB) is parsed in two
     halves, the second in a forked child (:func:`_joined_halves`).  Any
@@ -469,8 +463,7 @@ def parse_embedding(
     if format_hint not in _FORMATS:
         raise ValueError(f"unknown format_hint {format_hint!r}")
     is_path = isinstance(source, (str, Path))
-    if name is None:
-        name = Path(source).stem if is_path else "embedding"
+    name = Path(source).stem if is_path else "embedding"
     if is_path:
         try:
             joined = _joined_halves(source, format_hint, name)
@@ -478,19 +471,14 @@ def parse_embedding(
             joined = None
         if joined is not None:
             return joined
-    try:
-        return _parse(source, format_hint, name)
-    except ParseError as exc:
-        if not is_path:
-            raise
-        raise ParseError(f"{source}: {exc}") from None
+    return _parse(source, format_hint, name)
 
 
 def _parse(source: str | Path | IO, format_hint: str, name: str) -> EmbeddingMatrix:
-    """:func:`parse_embedding` itself; its errors name lines, not the file."""
+    """:func:`parse_embedding` itself, in one process."""
     with opened(source, "rb") as fh:
         header, n_dims, values, seen = _read(fh, format_hint)
-    return _finish(header, n_dims, values, tuple(seen), name)
+        return _finish(header, n_dims, values, tuple(seen), name)
 
 
 def _blocks(fh: IO, end: int | None = None) -> Iterator[list]:

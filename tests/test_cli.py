@@ -374,6 +374,24 @@ def test_compare_checks_questions_before_parsing(tmp_path, capsys, monkeypatch, 
     assert problem in err
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (b": capital\nw000001 w000002 w000003\n", "line 2: expected 4 words, got 3"),
+        (b": capital\nw000001 w000002 w000003 w000004\nw\xff w1 w2 w3\n",
+         "line 3: input is not valid UTF-8"),
+    ],
+    ids=["three_words", "invalid_utf8"],
+)
+def test_compare_question_errors_name_the_file_and_line(synth_files, tmp_path, capsys, text, problem):
+    # compare reads three files; the error says which one is bad
+    q_path = tmp_path / "questions.txt"
+    q_path.write_bytes(text)
+    code, _, err = run(capsys, "compare", *synth_files, "--questions", q_path)
+    assert code == 1
+    assert err == f"embcompare: error: {q_path}: {problem}\n"
+
+
 def test_compare_questions_none_answered_fails_before_kappa(tmp_path, capsys, monkeypatch):
     # a question no run can answer leaves alpha nothing to score: that error
     # comes before the kappa grid, the matching and CCA are computed
@@ -1063,6 +1081,28 @@ def test_agreement_malformed_row_exits_one(tmp_path, capsys, row, problem):
     code, _, err = run(capsys, "agreement", good, bad)
     assert code == 1
     assert f"embcompare: error: {bad}: line 3: {problem}" in err
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (b"question,a,b,c,d,predicted,status\n0,a,b,c,d,X,ANSWERED\n",
+         "answers CSV must have columns"),
+        (ANSWERS_HEADER.encode() + b"0,a,b,c,d,X\xff,ANSWERED\n",
+         "line 2: input is not valid UTF-8"),
+        (ANSWERS_HEADER.encode() + b"0,a,b,c,d," + b"X" * 140_000 + b",ANSWERED\n",
+         "line 2: field larger than field limit (131072)"),
+    ],
+    ids=["header", "invalid_utf8", "oversized_field"],
+)
+def test_agreement_csv_errors_name_the_file(tmp_path, capsys, text, problem):
+    good = tmp_path / "good.csv"
+    _write_answers(good, [("X", "ANSWERED")])
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text)
+    code, _, err = run(capsys, "agreement", good, bad)
+    assert code == 1
+    assert err.startswith(f"embcompare: error: {bad}: {problem}")
 
 
 def test_cli_import_does_not_load_scipy_stats(synth_files, tmp_path):

@@ -23,6 +23,7 @@ from embcompare import (
     row_normalize,
     write_glove_text,
 )
+from embcompare.analogy_eval import AnalogyParseError, parse_analogy_file, read_answers_csv
 from embcompare.embedding_io import opened
 from helpers import assert_no_child_left, make_embedding
 from oracles import parse_embedding_rowwise, write_glove_text_rowwise
@@ -39,6 +40,41 @@ def test_opened_closes_paths_and_leaves_handles_open(tmp_path):
         fh.write("a\r\n")
     assert fh.closed
     assert path.read_bytes() == b"a\r\n"  # newline="" reached open()
+
+
+@pytest.mark.parametrize("error", [ParseError, AnalogyParseError, ValueError])
+def test_opened_names_a_paths_errors_and_keeps_their_type(tmp_path, error):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"")
+    with pytest.raises(error) as raised:
+        with opened(path, "rb"):
+            raise error("line 2: bad")
+    assert type(raised.value) is error
+    assert str(raised.value) == f"{path}: line 2: bad"
+    # a handle's errors are its owner's to name
+    with pytest.raises(error) as raised:
+        with opened(io.BytesIO(), "rb"):
+            raise error("line 2: bad")
+    assert type(raised.value) is error
+    assert str(raised.value) == "line 2: bad"
+
+
+def test_opened_passes_unicode_errors_through(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xff")
+    with pytest.raises(UnicodeDecodeError) as raised:
+        with opened(path, "rb") as fh:
+            fh.read().decode("utf-8")
+    assert str(path) not in str(raised.value)
+
+
+def test_readers_leave_a_handles_errors_unnamed():
+    with pytest.raises(ParseError, match=r"^line 2: non-numeric value in row 'b'$"):
+        parse_embedding(io.BytesIO(b"a 1\nb x\n"))
+    with pytest.raises(AnalogyParseError, match=r"^line 2: expected 4 words, got 2$"):
+        parse_analogy_file(io.StringIO(": c\na b\n"))
+    with pytest.raises(ValueError, match=r"^line 2: input is not valid UTF-8$"):
+        read_answers_csv(io.BytesIO(b"question_index,a,b,c,d,predicted,status\n0,\xff\n"))
 
 
 def test_parse_glove_identity():
@@ -712,9 +748,9 @@ def halves(monkeypatch):
     return parse_embedding, forked
 
 
-def _serial(path: Path, name: str | None = None) -> EmbeddingMatrix:
+def _serial(path: Path) -> EmbeddingMatrix:
     """The reference for a split parse: the whole file in one process."""
-    return embedding_io._parse(path, "auto", path.stem if name is None else name)
+    return embedding_io._parse(path, "auto", path.stem)
 
 
 @needs_fork
@@ -741,17 +777,6 @@ def test_parse_halves_equals_a_serial_parse(tmp_path, halves, options, no_hang):
     assert got.values.tobytes() == expected.values.tobytes()
     assert got.name == expected.name == "emb"
     assert not got.values.flags.writeable
-
-
-@needs_fork
-def test_parse_halves_keeps_the_name_given(tmp_path, halves, no_hang):
-    parse_halves, forked = halves
-    path = tmp_path / "emb.txt"
-    path.write_bytes(_rows_text())
-    got = parse_halves(path, name="run1")
-    assert forked == [path]
-    assert got.name == "run1"
-    assert got.values.tobytes() == _serial(path).values.tobytes()
 
 
 @needs_fork
@@ -819,7 +844,9 @@ def test_parse_halves_errors_match_a_serial_parse(tmp_path, halves, fault, no_ha
         _serial(path)
     with pytest.raises(ParseError) as got:
         parse_halves(path)
-    assert str(got.value) == f"{path}: {serial.value}"
+    # the serial parse names the file itself, as parse_embedding does
+    assert str(serial.value).startswith(f"{path}: ")
+    assert str(got.value) == str(serial.value)
     assert forked == [path]
     assert_no_child_left()
 
