@@ -7,6 +7,15 @@ The maximization is run as a minimization of ``max_entry - w`` through
 Jonker & Volgenant 1987), O(D^3) on the dense grid.  The tie pass imports
 ``scipy.sparse.csgraph`` anyway, so ``scipy.optimize`` is never loaded.
 
+Decided grids skip the solver.  When each column's maximum sits in a row
+of its own and beats the column's second-largest entry by more than the
+tie pass's tolerance (the column-reduction certificate of Jonker &
+Volgenant), the column maxima are the unique optimum of both the plain sum
+and the solver's cost, so that permutation is the solver's result and is
+returned with no scipy module loaded.  Reruns that keep their dimensions
+aligned (permuted, sign-flipped under ``use_abs``, lightly perturbed) give
+such grids; a mixed grid fails the check in O(D^2) and goes to the solver.
+
 Tie handling: among equal-weight optima the lexicographically smallest
 assignment is returned, so reports are reproducible across platforms and
 do not depend on which optimum the solver lands on.  The tie pass needs
@@ -227,6 +236,12 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
     by at most ``n**2 * eps * max|w| + n * 2**-1074``, with ``n`` the matrix
     size and ``eps`` the float64 machine epsilon.
 
+    A decided matrix, one whose column maxima lie in distinct rows and each
+    exceed their column's second-largest entry by more than
+    ``1e-9 * max(1, w.max() - w.min())``, returns the column maxima: the
+    solver's result, found without loading scipy.  Every other matrix,
+    ``n == 1`` included, goes to the solver.
+
     Raises ``ValueError`` naming the range when ``w.max() - w.min()``
     overflows float64 (``[[1.7e308, 0], [0, -1.7e308]]``).
     """
@@ -241,16 +256,27 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
     if not math.isfinite(hi - lo):
         raise ValueError(f"weight range [{lo!r}, {hi!r}] is wider than float64 can hold")
 
+    n = w.shape[0]
+    cols, rows = np.arange(n), w.argmax(axis=0)
+    tol = 1e-9 * max(1.0, hi - lo)  # the tie pass's tolerance (_tight_edges)
+    decided = (  # at n == 1 the runner-up is the maximum itself, so never decided
+        np.unique(rows).size == n
+        and (w[rows, cols] - np.partition(w, n - 2, axis=0)[n - 2] > tol).all()
+    )
+    assignment = rows if decided else _solved(w)
+    return assignment, float(w[assignment, cols].sum())
+
+
+def _solved(w: np.ndarray) -> np.ndarray:
+    """The lexicographically smallest optimum of ``max_weight_assignment``'s
+    validated ``w``, found by LAPJVsp and the tie pass."""
     from scipy.sparse import csr_array  # slow imports: load on use
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    cost = hi - w
+    cost = w.max() - w
     lifted = csr_array(np.where(cost == 0, np.finfo(np.float64).smallest_subnormal, cost))
     col_to_row = np.argsort(min_weight_full_bipartite_matching(lifted)[1])  # rows come sorted
-    tight = _tight_edges(cost, col_to_row)
-    assignment = _lexicographically_smallest(w, col_to_row, tight)
-    total = float(w[assignment, np.arange(w.shape[0])].sum())
-    return assignment, total
+    return _lexicographically_smallest(w, col_to_row, _tight_edges(cost, col_to_row))
 
 
 def one_to_one_score(kappa: CorrelationMatrix, use_abs: bool = False) -> Matching:

@@ -461,7 +461,7 @@ def read_answers_csv(source: str | Path | IO) -> list[dict]:
     ``ValueError`` naming the CSV line.  The file is decoded in one call.
     """
     with opened(source, "rb") as fh:
-        text = _decoded(fh.read(), 1, ValueError)
+        text = _decoded(fh.read(), 1, ValueError, any_line_end=True)
         reader = csv.DictReader(io.StringIO(text, newline=""))
         try:
             fields = reader.fieldnames

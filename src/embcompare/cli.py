@@ -101,7 +101,7 @@ def _read_questions(args) -> list[AnalogyQuestion]:
     """Parse ``args.questions``; before any embedding, so a bad file fails fast."""
     questions = parse_analogy_file(args.questions, lowercase=args.lowercase)
     if not questions:
-        raise ValueError(f"questions file {args.questions!r} has no questions")
+        raise ValueError(f"{args.questions}: no questions")
     return questions
 
 

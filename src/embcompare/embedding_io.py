@@ -311,14 +311,23 @@ class AlignedPair:
                 )
 
 
-def _decoded(text: bytes | str, lineno: int, error: type[ValueError]) -> str:
+def _decoded(
+    text: bytes | str, lineno: int, error: type[ValueError], any_line_end: bool = False
+) -> str:
     """``text``, whose first line is line ``lineno``, as a str; invalid UTF-8
-    raises ``error`` naming the line it is on.  A str is returned as is."""
+    raises ``error`` naming the line it is on.  A str is returned as is.
+
+    Lines end at ``\\n``; with ``any_line_end``, as the CSV reader counts
+    them, ``\\r\\n``, ``\\r`` and ``\\n`` each end one line.
+    """
     if isinstance(text, bytes):
         try:
             return text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            lineno += text.count(b"\n", 0, exc.start)
+            head = text[: exc.start]
+            lineno += head.count(b"\n")
+            if any_line_end:
+                lineno += head.count(b"\r") - head.count(b"\r\n")
             raise error(f"line {lineno}: input is not valid UTF-8") from None
     return text
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import embcompare
+from embcompare import alignment
 from embcompare import (
     align_vocabularies,
     correlation_matrix,
@@ -187,6 +188,121 @@ def test_solve_does_not_import_scipy_optimize():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _dominant_grid(seed: int, n: int, gaps, signs=None) -> tuple[np.ndarray, np.ndarray]:
+    """A grid in [-0.5, 0.5] whose column ``d`` has its largest entry in row
+    ``rows[d]``, ``gaps[d]`` above the column's next entry; ``signs`` flips
+    entries afterwards.  Returns the grid and ``rows``."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-0.5, 0.5, (n, n))
+    rows = rng.permutation(n)
+    for d, gap in enumerate(gaps):
+        w[rows[d], d] = -1.0  # below every other entry: the max is the runner-up
+        w[rows[d], d] = w[:, d].max() + gap
+    if signs is not None:
+        w *= signs
+    return w, rows
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The grids ``max_weight_assignment`` hands to the solver route."""
+    calls = []
+
+    def spy(w):
+        calls.append(w)
+        return solved(w)
+
+    solved = alignment._solved
+    monkeypatch.setattr(alignment, "_solved", spy)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 9),
+    use_abs=st.booleans(),
+    data=st.data(),
+)
+def test_column_maxima_certificate_matches_the_solver(seed, n, use_abs, data):
+    # gaps around the tolerance 1e-9 * max(1, hi - lo), hi - lo up to 1.5
+    gap = st.sampled_from([0.0, 1e-12, 5e-10, 1e-9, 1.5e-9, 2e-9, 1e-8, 1e-4, 0.3])
+    # one gap for every column, or one per column
+    gaps = data.draw(
+        st.one_of(gap.map(lambda g: [g] * n), st.lists(gap, min_size=n, max_size=n)),
+        label="gaps",
+    )
+    signs = None
+    if use_abs:  # dimensions equivalent up to sign: the grid is matched on |w|
+        signs = np.where(np.random.default_rng(seed + 1).random((n, n)) < 0.5, -1.0, 1.0)
+    grid, _ = _dominant_grid(seed, n, gaps, signs)
+    w = np.abs(grid) if use_abs else grid
+    assignment, total = max_weight_assignment(w)
+    expected = alignment._solved(w)
+    assert assignment.tolist() == expected.tolist()
+    assert total == float(w[expected, np.arange(n)].sum())
+
+
+def test_decided_grid_never_reaches_the_solver(monkeypatch):
+    def no_solver(w):
+        raise AssertionError("the solver ran on a decided grid")
+
+    monkeypatch.setattr(alignment, "_solved", no_solver)
+    w, rows = _dominant_grid(3, 40, [0.1] * 40)
+    assignment, total = max_weight_assignment(w)
+    assert assignment.tolist() == rows.tolist()
+    assert total == float(w[rows, np.arange(40)].sum())
+    # a permuted, sign-flipped, noisy rerun, matched on |kappa|
+    base = random_embedding(800, 12, seed=5)
+    perm = random_permutation(12, 6)
+    spec = SynthSpec((perm, random_sign_mask(12, 7)), 0.2, seed=8)
+    matching = one_to_one_score(correlation_matrix(derive_pair(base, spec)), use_abs=True)
+    assert matching.assignment.tolist() == perm.order.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_decided_grid_against_brute_force(n, solver_calls):
+    for seed in range(20):
+        w, rows = _dominant_grid(seed, n, np.linspace(1e-6, 0.2, n))
+        assignment, total = max_weight_assignment(w)
+        perm, best = brute_force_assignment(w)
+        assert tuple(assignment.tolist()) == perm == tuple(rows.tolist())
+        assert total == best
+    assert solver_calls == []
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        [[0.7]],
+        # column 0's maximum is tied between rows 0 and 1
+        [[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
+        # the maxima of columns 0 and 1 are both in row 0
+        [[2.0, 1.5], [0.0, 1.0]],
+        # each column's maximum beats the other entry by exactly
+        # 1e-9 * max(1, hi - lo) = 1e-9
+        [[1e-9, 0.0], [0.0, 1e-9]],
+        [[0.0, 1e-9], [1e-9, 0.0]],
+    ],
+    ids=["one_dimension", "tied_maximum", "shared_row", "gap_at_tolerance",
+         "gap_at_tolerance_anti_diagonal"],
+)
+def test_undecided_grids_take_the_solver_route(w, solver_calls):
+    w = np.array(w)
+    assignment, total = max_weight_assignment(w)
+    perm, best = brute_force_assignment(w)
+    assert tuple(assignment.tolist()) == perm
+    assert total == best
+    assert len(solver_calls) == 1
+
+
+def test_gap_one_ulp_past_the_tolerance_is_decided(solver_calls):
+    top = np.nextafter(1e-9, 1.0)
+    assignment, _ = max_weight_assignment(np.array([[0.0, top], [top, 0.0]]))
+    assert assignment.tolist() == [1, 0]
+    assert solver_calls == []
 
 
 def test_one_to_one_requires_square():

@@ -528,6 +528,20 @@ def test_answers_csv_question_index_is_the_row_position(tmp_path, indices, line,
         read_answers_csv(path)
 
 
+@pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_answers_csv_invalid_byte_line_counts_every_line_end(tmp_path, end):
+    # the CSV reader ends a line at \r\n, \r or \n, and so does the count
+    # naming the line of an invalid byte, as it does a bad row's
+    rows = [ANSWERS_HEADER.rstrip("\n"), "0,a,b,c,d,X,ANSWERED", "1,a,b,c,d,Y,ANSWERED"]
+    path = tmp_path / "answers.csv"
+    path.write_bytes(end.join(rows).encode().replace(b"Y", b"Y\xff") + end.encode())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: input is not valid UTF-8")):
+        read_answers_csv(path)
+    path.write_bytes(end.join(rows).replace("1,", "2,").encode() + end.encode())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: question_index")):
+        read_answers_csv(path)
+
+
 def test_question_validation():
     with pytest.raises(ValueError, match="non-empty"):
         AnalogyQuestion(a="", b="b", c="c", d="d", category="x")

@@ -356,7 +356,7 @@ def test_compare_dimension_mismatch_fails_after_parsing(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize(
     "text, problem",
-    [(": capital\nqa qb qc\n", "line 2: expected 4 words, got 3"), ("", "has no questions")],
+    [(": capital\nqa qb qc\n", "line 2: expected 4 words, got 3"), ("", ": no questions")],
 )
 def test_compare_checks_questions_before_parsing(tmp_path, capsys, monkeypatch, text, problem):
     q_path = tmp_path / "questions.txt"
@@ -967,7 +967,7 @@ def test_analogy_empty_questions_errors(tmp_path, capsys):
     for embedding in (emb_path, tmp_path / "missing.txt"):
         code, _, err = run(capsys, "analogy", embedding, q_path)
         assert code == 1
-        assert f"questions file {str(q_path)!r} has no questions" in err
+        assert f"{q_path}: no questions" in err
 
 
 def test_analogy_invalid_utf8_questions_names_line(tmp_path, capsys):
@@ -1125,6 +1125,30 @@ def test_cli_import_does_not_load_scipy_stats(synth_files, tmp_path):
         ).stdout
         assert out.splitlines()[-1] == "False", probe
     assert (tmp_path / "plots" / "hist_kappa_kde.csv").exists()
+
+
+@pytest.mark.parametrize("transform, loads_scipy", [("permutation", False), ("linear", True)])
+def test_compare_loads_scipy_only_for_an_undecided_matching(tmp_path, transform, loads_scipy):
+    # a permuted rerun's kappa grid is decided by its column maxima, so the
+    # matching needs no solver; a linear mixing's grid needs it
+    left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+    assert main([
+        "synth", "--rows", "400", "--dims", "10", "--seed", "5", "--transform", transform,
+        "--sigma", "0.2", "--out-left", str(left), "--out-right", str(right),
+    ]) == 0
+    src = str(Path(embcompare.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    for extra in ([], ["--abs-correlation"]):
+        argv = ["compare", str(left), str(right), "--out", str(tmp_path / "r.json"), *extra]
+        probe = (
+            f"import sys, embcompare.cli; assert embcompare.cli.main({argv!r}) == 0; "
+            "print('scipy' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines()[-1] == str(loads_scipy), extra
 
 
 # A meta-path finder that records OPENBLAS_THREAD_TIMEOUT when numpy's
