@@ -234,7 +234,10 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
     from the plain sum of ``w``, so on weights whose sums round (a 0.1-step
     grid, say) ``total_weight`` can trail the brute-force plain-sum maximum
     by at most ``n**2 * eps * max|w| + n * 2**-1074``, with ``n`` the matrix
-    size and ``eps`` the float64 machine epsilon.
+    size and ``eps`` the float64 machine epsilon.  Known issue: with scipy
+    1.17.1 the solver never returns on some matrices with exact float ties
+    (one 12x12 matrix of values on a 0.1 step ran past 10 s), and nothing
+    bounds the solve.
 
     A decided matrix, one whose column maxima lie in distinct rows and each
     exceed their column's second-largest entry by more than

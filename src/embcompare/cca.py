@@ -126,7 +126,7 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
     warning), reducing ``k``.
     """
     n = pair.shared_count
-    left, right = pair.sources
+    left, right = pair.left, pair.right
     dx, dy = left.n_dims, right.n_dims
     if n < 2:
         raise ValueError("need at least 2 shared words to fit CCA")

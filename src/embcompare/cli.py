@@ -304,9 +304,9 @@ def cmd_synth(args) -> int:
     make = _SYNTH_TRANSFORMS[args.transform]
     transforms = (make(args.dims, args.seed),) if make else ()
     spec = SynthSpec(transforms=transforms, noise_sigma=args.sigma, seed=args.seed)
-    left, right = derive_pair(base, spec).sources
-    write_left = partial(write_glove_text, left, args.out_left)
-    write_right = partial(write_glove_text, right, args.out_right)
+    pair = derive_pair(base, spec)
+    write_left = partial(write_glove_text, pair.left, args.out_left)
+    write_right = partial(write_glove_text, pair.right, args.out_right)
     if os.path.realpath(args.out_left) == os.path.realpath(args.out_right):
         write_left()  # one file, which ends up holding the right matrix
         write_right()

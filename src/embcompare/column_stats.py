@@ -97,7 +97,7 @@ def correlation_matrix(pair: AlignedPair) -> CorrelationMatrix:
     """
     if pair.shared_count < 2:
         raise ValueError("need at least 2 shared words to correlate columns")
-    d = pair.sources[0].n_dims
+    d = pair.left.n_dims
     cov = pair.covariance
     std = np.sqrt(np.diag(cov))
     # variance underflow leaves no usable scale either

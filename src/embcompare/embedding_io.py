@@ -174,13 +174,11 @@ class AlignedPair:
     """Two embeddings paired row by row over their shared vocabulary.
 
     Every pair is made by :func:`align_vocabularies`.  A pair holds both
-    matrices as given (``sources``) and, per side, the read-only indices of
-    the shared words' rows, in the first one's order.  :attr:`covariance`
-    and :attr:`constant_columns` read the shared rows through the indices,
-    so ``compare`` never builds them.  ``left`` and ``right`` are each side
-    restricted to the shared words: the source itself where that side keeps
-    all of its rows in order, else a copy built on first access.
-    ``dropped_left`` / ``dropped_right`` count each source's unpaired rows.
+    matrices as given (``left`` and ``right``) and, per side, the read-only
+    indices of the shared words' rows, in ``left``'s order.
+    :attr:`covariance` and :attr:`constant_columns` read the shared rows
+    through the indices, so no copy of them is ever built.
+    ``dropped_left`` / ``dropped_right`` count each side's unpaired rows.
     Instances are immutable.
     """
 
@@ -190,8 +188,8 @@ class AlignedPair:
         """Pair ``a``'s rows ``a_rows`` with ``b``'s rows ``b_rows``."""
         a_rows.flags.writeable = b_rows.flags.writeable = False
         self.__dict__.update(
-            sources=(a, b), _rows=(a_rows, b_rows), dropped_left=a.n_words - a_rows.size,
-            dropped_right=b.n_words - b_rows.size,
+            left=a, right=b, _rows=(a_rows, b_rows),
+            dropped_left=a.n_words - a_rows.size, dropped_right=b.n_words - b_rows.size,
         )
 
     def __setattr__(self, name, value):
@@ -202,36 +200,15 @@ class AlignedPair:
         return self._rows[0].size
 
     @cached_property
-    def left(self) -> EmbeddingMatrix:
-        return self._restricted(0)
-
-    @cached_property
-    def right(self) -> EmbeddingMatrix:
-        return self._restricted(1)
-
-    def _restricted(self, side: int) -> EmbeddingMatrix:
-        source, rows = self.sources[side], self._rows[side]
-        if np.array_equal(rows, np.arange(source.n_words)):
-            return source  # every row, in order: no copy needed
-        values = source.values[rows]
-        values.flags.writeable = False  # fresh: EmbeddingMatrix keeps it without a copy
-        return EmbeddingMatrix(vocab=self._vocab, values=values, name=source.name)
-
-    @cached_property
-    def _vocab(self) -> tuple[str, ...]:
-        vocab = self.sources[0].vocab
-        return tuple([vocab[i] for i in self._rows[0].tolist()])
-
-    @cached_property
     def covariance(self) -> np.ndarray:
         """Joint population (1/n) covariance of ``[left | right]``, built on first use.
 
         With ``d = left.n_dims``, blocks ``[:d, :d]``, ``[d:, d:]`` and ``[:d, d:]``
         are the left, right and cross covariances.  Two-pass (Chan, Golub &
         LeVeque, 1979): column means, then ``Z.T @ Z`` per row chunk of the
-        centred ``Z = [left | right]``.  Each chunk of shared rows is read
-        from the two sources by index into one reused buffer, so no N-sized
-        copy is ever made; see :meth:`_moments`.  Raises
+        centred ``Z = [left | right]`` over the shared rows.  Each chunk of
+        them is read from both sides by index into one reused buffer, so no
+        N-sized copy is ever made; see :meth:`_moments`.  Raises
         :class:`NumericalError` when a side's values are too large for its
         sums or products to stay finite in float64.
         """
@@ -246,24 +223,25 @@ class AlignedPair:
     @property
     def _columns(self) -> tuple[slice, slice]:
         """The left and right sides' columns in ``[left | right]``."""
-        d = self.sources[0].n_dims
+        d = self.left.n_dims
         return slice(None, d), slice(d, None)
 
     def _chunks(self, buf: np.ndarray) -> Iterator[np.ndarray]:
         """Each run of up to ``_COVARIANCE_CHUNK`` shared rows as ``[left | right]``,
         read into ``buf[1:]`` (row 0 is left to the caller)."""
+        sides = (self.left, self.right)
         for start in range(0, self.shared_count, _COVARIANCE_CHUNK):
             stop = min(start + _COVARIANCE_CHUNK, self.shared_count)
             chunk = buf[1 : stop - start + 1]
-            for side, rows, cols in zip(self.sources, self._rows, self._columns):
+            for side, rows, cols in zip(sides, self._rows, self._columns):
                 # gather, then copy: faster than np.take into strided columns
                 chunk[:, cols] = side.values[rows[start:stop]]
             yield chunk
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(covariance, constant_columns)``, to the bit as read from ``left``
-        and ``right``.
+        """``(covariance, constant_columns)``, to the bit as read from copies
+        of the shared rows.
 
         A first pass over the chunks sums the columns and tracks their max
         and min.  Each chunk is reduced below the running sums in ``buf[0]``,
@@ -273,7 +251,7 @@ class AlignedPair:
         chunk in place.  Overflow is not warned about but checked: non-finite
         sums or covariance raise :class:`NumericalError` naming the side.
         """
-        n, sides = self.shared_count, self.sources
+        n, sides = self.shared_count, (self.left, self.right)
         width = sum(side.n_dims for side in sides)
         buf = np.empty((min(n, _COVARIANCE_CHUNK) + 1, width))
         total = np.zeros(width)
@@ -842,11 +820,9 @@ def align_vocabularies(a: EmbeddingMatrix, b: EmbeddingMatrix) -> AlignedPair:
     """Pair both embeddings over their shared vocabulary, in ``a``'s order.
 
     The only way to make an :class:`AlignedPair`.  Raises ``ValueError``
-    when the vocabularies are disjoint.  No values are copied: the pair
-    holds the input matrices (they are immutable) and the rows each side
-    shares, by index.  A side whose rows are all shared, in order, is its
-    own ``left`` or ``right``: both are, ``a`` and ``b`` themselves, when
-    the vocabularies agree element for element.
+    when the vocabularies are disjoint.  No values are copied: the pair's
+    ``left`` and ``right`` are ``a`` and ``b`` themselves (they are
+    immutable), and it holds the rows each side shares, by index.
     """
     # one walk over a's words: each word's row in b, or -1 where b lacks it.
     # The lookup is local, not b.index: that would stay cached on b, which

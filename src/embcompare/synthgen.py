@@ -193,10 +193,10 @@ def random_invertible(n_dims: int, seed: int) -> Linear:
 def derive_pair(base: EmbeddingMatrix, spec: SynthSpec) -> AlignedPair:
     """Apply a transform chain plus i.i.d. Gaussian noise to a base embedding.
 
-    Returns ``align_vocabularies(base, derived)``: the derived embedding has
-    ``base``'s vocabulary, so the pair's ``sources`` (and ``left`` and
-    ``right``) are ``base`` itself and the derived embedding.  Noise is
-    added after all transforms.  Every transform must be as wide as ``base``.
+    Returns ``align_vocabularies(base, derived)``: the pair's ``left`` is
+    ``base`` itself and its ``right`` the derived embedding, which has
+    ``base``'s vocabulary.  Noise is added after all transforms.  Every
+    transform must be as wide as ``base``.
     """
     values = base.values
     for i, step in enumerate(spec.transforms):

@@ -121,6 +121,17 @@ def reference_cca_correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.clip(s, 0.0, 1.0)
 
 
+def aligned(a, b) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The words embeddings ``a`` and ``b`` share, in ``a``'s order, and each
+    side's rows for them, as copies found by plain dict lookups."""
+    a_rows = {w: i for i, w in enumerate(a.vocab)}
+    b_rows = {w: i for i, w in enumerate(b.vocab)}
+    words = [w for w in a.vocab if w in b_rows]
+    x = a.values[[a_rows[w] for w in words]]
+    y = b.values[[b_rows[w] for w in words]]
+    return words, x, y
+
+
 def moments_by_copy(
     x: np.ndarray, y: np.ndarray, chunk: int
 ) -> tuple[np.ndarray, np.ndarray]:

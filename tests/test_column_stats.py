@@ -21,7 +21,7 @@ from embcompare.embedding_io import EmbeddingMatrix
 from embcompare.embedding_io import _COVARIANCE_CHUNK
 from embcompare.synthgen import random_embedding
 from helpers import make_embedding
-from oracles import correlation_matrix_naive, gaussian_kde_scipy, moments_by_copy
+from oracles import aligned, correlation_matrix_naive, gaussian_kde_scipy, moments_by_copy
 
 
 def _pair(left_values, right_values):
@@ -106,17 +106,12 @@ def _identical_pair(rng, n, dx, dy):
 
 
 def _assert_moments_as_by_copy(a, b):
-    words = [w for w in a.vocab if w in b.index]
-    x = a.values[[a.index[w] for w in words]]
-    y = b.values[[b.index[w] for w in words]]
+    _, x, y = aligned(a, b)
     cov, constant = moments_by_copy(x, y, _COVARIANCE_CHUNK)
     pair = align_vocabularies(a, b)
     assert pair.covariance.tobytes() == cov.tobytes()
     assert pair.constant_columns.tolist() == constant.tolist()
-    if a.vocab == b.vocab:  # row i with row i: the inputs, not copies
-        assert pair.left is a and pair.right is b
-    else:  # paired by index: no aligned copy was built
-        assert "left" not in pair.__dict__ and "right" not in pair.__dict__
+    assert pair.left is a and pair.right is b  # the inputs, never copies
     return pair
 
 

@@ -24,9 +24,11 @@ from embcompare import (
     write_glove_text,
 )
 from embcompare.analogy_eval import AnalogyParseError, parse_analogy_file, read_answers_csv
-from embcompare.embedding_io import opened
+from embcompare.embedding_io import _COVARIANCE_CHUNK, opened
 from helpers import assert_no_child_left, make_embedding
-from oracles import parse_embedding_rowwise, write_glove_text_rowwise
+from oracles import (
+    aligned, moments_by_copy, parse_embedding_rowwise, write_glove_text_rowwise,
+)
 
 
 def test_opened_closes_paths_and_leaves_handles_open(tmp_path):
@@ -558,34 +560,58 @@ def test_errors_past_the_first_block_name_their_line(multi_block_lines, fault, m
     assert str(oracle.value) == expected
 
 
+def _aligned_as_oracle(a, b):
+    """``align_vocabularies(a, b)``, checked against the word-lookup oracle:
+    the inputs are its sides, its counts agree and its covariance is the
+    oracle copies' to the bit.  Returns the pair and the oracle's output."""
+    words, x, y = aligned(a, b)
+    pair = align_vocabularies(a, b)
+    assert pair.left is a and pair.right is b
+    assert pair.shared_count == len(words)
+    assert pair.dropped_left == a.n_words - len(words)
+    assert pair.dropped_right == b.n_words - len(words)
+    cov, _ = moments_by_copy(x, y, _COVARIANCE_CHUNK)
+    assert pair.covariance.tobytes() == cov.tobytes()
+    return pair, words, x, y
+
+
 def test_align_orders_by_left_vocab():
     a = make_embedding([[1, 0], [2, 0], [3, 0]], vocab=("x", "y", "z"))
     b = make_embedding([[30, 1], [10, 1]], vocab=("z", "x"))
-    pair = align_vocabularies(a, b)
-    assert pair.left.vocab == ("x", "z")
-    assert pair.right.vocab == ("x", "z")
+    pair, words, x, y = _aligned_as_oracle(a, b)
+    assert words == ["x", "z"]
     assert pair.shared_count == 2
     assert pair.dropped_left == 1
     assert pair.dropped_right == 0
-    assert np.array_equal(pair.left.values[:, 0], [1, 3])
-    assert np.array_equal(pair.right.values[:, 0], [10, 30])
+    assert np.array_equal(x[:, 0], [1, 3])
+    assert np.array_equal(y[:, 0], [10, 30])
+    assert pair.covariance[0, 2] == 10.0  # x with 10 and z with 30, not crossed
+
+
+def test_align_sums_shared_rows_in_left_order():
+    # on a large offset the moments' last bits depend on the order in which
+    # the rows are summed, so the bitwise covariance pins a's order
+    rng = np.random.default_rng(5)
+    a = make_embedding(rng.standard_normal((6, 3)) + 1e6, vocab=tuple("abcdef"))
+    b = make_embedding(rng.standard_normal((5, 3)) + 1e6, vocab=tuple("fdbca"))
+    pair, _, x, y = _aligned_as_oracle(a, b)
+    reversed_order, _ = moments_by_copy(x[::-1], y[::-1], _COVARIANCE_CHUNK)
+    assert pair.covariance.tobytes() != reversed_order.tobytes()
 
 
 def test_align_identical_is_lossless():
     a = make_embedding(np.arange(6.0).reshape(3, 2))
     b = make_embedding(np.arange(6.0).reshape(3, 2) + 1)
-    pair = align_vocabularies(a, b)
+    pair, words, _, _ = _aligned_as_oracle(a, b)
+    assert words == list(a.vocab)
     assert pair.shared_count == a.n_words
     assert pair.dropped_left == pair.dropped_right == 0
-    assert pair.left.values is a.values  # no copy needed
-    assert pair.left is a and pair.right is b
-    # every left word shared, in order, against extra right words:
-    # only the right side is restricted
+    # every left word shared, in order, against an extra right word:
+    # only the right side drops a row
     wider = make_embedding(np.arange(8.0).reshape(4, 2), vocab=(*a.vocab, "extra"))
-    pair = align_vocabularies(a, wider)
-    assert pair.left is a
-    assert pair.right is not wider and pair.right.vocab == a.vocab
-    assert np.array_equal(pair.right.values, wider.values[:3])
+    pair, words, _, _ = _aligned_as_oracle(a, wider)
+    assert words == list(a.vocab)
+    assert pair.dropped_left == 0 and pair.dropped_right == 1
 
 
 def test_pairs_come_only_from_align_vocabularies():
@@ -605,22 +631,22 @@ def test_align_is_idempotent():
     rng = np.random.default_rng(3)
     a = make_embedding(rng.standard_normal((5, 3)), vocab=tuple("abcde"))
     b = make_embedding(rng.standard_normal((4, 3)), vocab=tuple("dcba"))
-    pair = align_vocabularies(a, b)
-    again = align_vocabularies(pair.left, pair.right)
-    assert again.left.vocab == pair.left.vocab
-    assert np.array_equal(again.left.values, pair.left.values)
-    assert np.array_equal(again.right.values, pair.right.values)
+    pair, words, x, y = _aligned_as_oracle(a, b)
+    # the shared rows, aligned again: nothing dropped, the same moments
+    again, _, _, _ = _aligned_as_oracle(
+        make_embedding(x, vocab=words), make_embedding(y, vocab=words)
+    )
     assert again.dropped_left == again.dropped_right == 0
+    assert again.covariance.tobytes() == pair.covariance.tobytes()
 
 
 def test_align_rows_correspond_to_same_word():
     rng = np.random.default_rng(4)
     a = make_embedding(rng.standard_normal((6, 2)), vocab=tuple("abcdef"))
     b = make_embedding(rng.standard_normal((5, 2)), vocab=tuple("fdbca"))
-    pair = align_vocabularies(a, b)
-    for i, w in enumerate(pair.left.vocab):
-        assert np.array_equal(pair.left.values[i], a.values[a.index[w]])
-        assert np.array_equal(pair.right.values[i], b.values[b.index[w]])
+    pair, words, _, _ = _aligned_as_oracle(a, b)
+    assert words == list("abcdf")
+    assert pair.dropped_left == 1 and pair.dropped_right == 0
 
 
 def test_align_walks_left_vocab_without_indexing_it():
@@ -628,8 +654,8 @@ def test_align_walks_left_vocab_without_indexing_it():
     # to the align: neither input is left holding a dict of all its words
     a = make_embedding(np.arange(8.0).reshape(4, 2), vocab=tuple("abcd"))
     b = make_embedding(np.arange(6.0).reshape(3, 2), vocab=tuple("dxb"))
-    pair = align_vocabularies(a, b)
-    assert pair.left.vocab == ("b", "d")
+    _, words, _, _ = _aligned_as_oracle(a, b)
+    assert words == ["b", "d"]
     assert "index" not in a.__dict__
     assert "index" not in b.__dict__
 
