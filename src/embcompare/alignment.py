@@ -1,11 +1,9 @@
 """One-to-one dimension matching by exact maximum-weight assignment.
 
 The score of a matching ``a`` is the mean of the matched correlations
-``kappa[a_d, d]``; the solver finds the permutation maximizing that mean.
-The maximization is run as a minimization of ``max_entry - w`` through
-``scipy.sparse.csgraph.min_weight_full_bipartite_matching`` (LAPJVsp,
-Jonker & Volgenant 1987), O(D^3) on the dense grid.  The tie pass imports
-``scipy.sparse.csgraph`` anyway, so ``scipy.optimize`` is never loaded.
+``kappa[a_d, d]``; the solver finds the permutation maximizing that mean,
+with ``scipy.optimize.linear_sum_assignment`` (Crouse's shortest augmenting
+path method, after Jonker & Volgenant 1987), O(D^3) on the dense grid.
 
 Decided grids skip the solver.  When each column's maximum sits in a row
 of its own and beats the column's second-largest entry by more than the
@@ -228,16 +226,11 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
     matched to column ``d`` and the permutation maximizes
     ``sum(weights[assignment[d], d])``.
 
-    Optimality is exact for the cost the solver minimises, ``w.max() - w``
-    with each exact zero lifted to ``2**-1074`` (csgraph drops stored
-    zeros, which would remove those edges).  That cost rounds differently
+    The solver optimises its own float sums, which round differently
     from the plain sum of ``w``, so on weights whose sums round (a 0.1-step
     grid, say) ``total_weight`` can trail the brute-force plain-sum maximum
-    by at most ``n**2 * eps * max|w| + n * 2**-1074``, with ``n`` the matrix
-    size and ``eps`` the float64 machine epsilon.  Known issue: with scipy
-    1.17.1 the solver never returns on some matrices with exact float ties
-    (one 12x12 matrix of values on a 0.1 step ran past 10 s), and nothing
-    bounds the solve.
+    by at most ``n**2 * eps * max|w|``, with ``n`` the matrix size and
+    ``eps`` the float64 machine epsilon.
 
     A decided matrix, one whose column maxima lie in distinct rows and each
     exceed their column's second-largest entry by more than
@@ -272,14 +265,11 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _solved(w: np.ndarray) -> np.ndarray:
     """The lexicographically smallest optimum of ``max_weight_assignment``'s
-    validated ``w``, found by LAPJVsp and the tie pass."""
-    from scipy.sparse import csr_array  # slow imports: load on use
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+    validated ``w``, found by ``linear_sum_assignment`` and the tie pass."""
+    from scipy.optimize import linear_sum_assignment  # slow import: load on use
 
-    cost = w.max() - w
-    lifted = csr_array(np.where(cost == 0, np.finfo(np.float64).smallest_subnormal, cost))
-    col_to_row = np.argsort(min_weight_full_bipartite_matching(lifted)[1])  # rows come sorted
-    return _lexicographically_smallest(w, col_to_row, _tight_edges(cost, col_to_row))
+    col_to_row = np.argsort(linear_sum_assignment(w, maximize=True)[1])  # rows come sorted
+    return _lexicographically_smallest(w, col_to_row, _tight_edges(w.max() - w, col_to_row))
 
 
 def one_to_one_score(kappa: CorrelationMatrix, use_abs: bool = False) -> Matching:

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from embcompare import (
@@ -120,6 +120,35 @@ def _max_condition(pair):
 # the largest condition number of the four auto-covariances (up to 1.6e8).
 MIXING_ROUNDING = 10.0 * np.finfo(np.float64).eps
 
+# Each mixing's condition number stays below this, so a side mixed twice
+# has auto-covariance conditions below 300**4 (8.1e9) times its base's,
+# far under the 1e12 at which cca_fit drops a direction (_EIG_DROP).
+MAX_MIXING_CONDITION = 300.0
+
+
+def _well_conditioned_mixing(n_dims, seed):
+    mix = random_invertible(n_dims, seed)
+    assume(np.linalg.cond(mix.matrix) <= MAX_MIXING_CONDITION)
+    return mix
+
+
+def _mixed_pairs(n_rows, n_dims, sigma, mixed_side, seed, mixing=random_invertible):
+    """A derived pair and the same pair with one or both sides mixed again."""
+    pair = derive_pair(
+        random_embedding(n_rows, n_dims, seed=seed),
+        SynthSpec((mixing(n_dims, seed + 1),), sigma, seed=seed + 2),
+    )
+
+    def mixed(e, mix_seed):
+        return EmbeddingMatrix(e.vocab, mixing(n_dims, mix_seed).apply(e.values), e.name)
+
+    left, right = pair.left, pair.right
+    if mixed_side in ("left", "both"):
+        left = mixed(left, seed + 3)
+    if mixed_side in ("right", "both"):
+        right = mixed(right, seed + 4)
+    return pair, align_vocabularies(left, right)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -132,22 +161,9 @@ MIXING_ROUNDING = 10.0 * np.finfo(np.float64).eps
 def test_correlations_invariant_under_invertible_mixing(
     n_rows, n_dims, sigma, mixed_side, seed
 ):
-    pair = derive_pair(
-        random_embedding(n_rows, n_dims, seed=seed),
-        SynthSpec((random_invertible(n_dims, seed + 1),), sigma, seed=seed + 2),
+    pair, remixed = _mixed_pairs(
+        n_rows, n_dims, sigma, mixed_side, seed, _well_conditioned_mixing
     )
-
-    def mixed(e, mix_seed):
-        values = random_invertible(n_dims, mix_seed).apply(e.values)
-        return EmbeddingMatrix(e.vocab, values, e.name)
-
-    left, right = pair.left, pair.right
-    if mixed_side in ("left", "both"):
-        left = mixed(left, seed + 3)
-    if mixed_side in ("right", "both"):
-        right = mixed(right, seed + 4)
-    remixed = align_vocabularies(left, right)
-
     before, after = cca_fit(pair), cca_fit(remixed)
     assert after.k == before.k == n_dims
     tolerance = (
@@ -156,6 +172,14 @@ def test_correlations_invariant_under_invertible_mixing(
         + MIXING_ROUNDING * max(_max_condition(pair), _max_condition(remixed))
     )
     assert np.abs(after.correlations - before.correlations).max() <= tolerance
+
+
+def test_ill_conditioned_mixing_drops_a_direction():
+    # random_invertible(9, 164) has condition 1.1e6, so the mixed left
+    # auto-covariance has condition 1.5e12, past _EIG_DROP's 1e12
+    with pytest.warns(UserWarning, match="dropping 1 near-null .* on the synthetic-161 side"):
+        result = cca_fit(_mixed_pairs(200, 9, 0.0, "left", 161)[1])
+    assert (result.k, result.dropped_left, result.dropped_right) == (8, 1, 0)
 
 
 def test_rectangular_pair_supported():
