@@ -91,6 +91,9 @@ def _tight_edges(cost: np.ndarray, col_to_row: np.ndarray) -> np.ndarray:
     potentials follow as ``u[s(j)] = cost[s(j), j] - v[j]``.  An optimal
     ``s`` leaves no negative cycle, so Bellman-Ford settles within D rounds;
     each round relaxes only from the columns whose distance just dropped.
+    Every arc lies in ``[-R, R]`` for ``R = cost.max() - cost.min()``, so
+    every distance lies in ``[-(D - 1) R, 0]`` and every sum formed here
+    within ``D R`` of zero.
     The tightness test uses a small relative tolerance to absorb float dust.
     """
     n = cost.shape[0]
@@ -238,8 +241,10 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
     solver's result, found without loading scipy.  Every other matrix,
     ``n == 1`` included, goes to the solver.
 
-    Raises ``ValueError`` naming the range when ``w.max() - w.min()``
-    overflows float64 (``[[1.7e308, 0], [0, -1.7e308]]``).
+    Raises ``ValueError`` naming the range where a sum could overflow
+    float64: the total and the tie pass's sums reach ``n * max|w|`` and
+    ``n * (w.max() - w.min())`` in magnitude (``[[1.7e308, 0], [0, -1.7e308]]``,
+    or a 5x5 grid of ``8e307`` and ``0``).
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -248,11 +253,13 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError("weight matrix is empty")
     if not np.isfinite(w).all():
         raise ValueError("weight matrix contains non-finite entries")
-    lo, hi = float(w.min()), float(w.max())
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"weight range [{lo!r}, {hi!r}] is wider than float64 can hold")
-
     n = w.shape[0]
+    lo, hi = float(w.min()), float(w.max())
+    if not math.isfinite(n * (hi - lo)) or not math.isfinite(n * max(abs(lo), abs(hi))):
+        raise ValueError(
+            f"weight range [{lo!r}, {hi!r}] is too wide for float64 sums over {n} entries"
+        )
+
     cols, rows = np.arange(n), w.argmax(axis=0)
     tol = 1e-9 * max(1.0, hi - lo)  # the tie pass's tolerance (_tight_edges)
     decided = (  # at n == 1 the runner-up is the maximum itself, so never decided

@@ -5,7 +5,9 @@ All three covariance blocks are read from the pair's joint covariance
 done per side via symmetric eigendecomposition of the (optionally
 ridge-regularized) auto-covariance; the canonical correlations are then the
 singular values of the whitened cross-covariance, which makes the
-descending order intrinsic.  Covariances use population (1/n)
+descending order intrinsic.  The two whitenings, the core product and the
+SVD run in turn on one BLAS thread, so the correlations' bits do not depend
+on the BLAS thread count.  Covariances use population (1/n)
 normalization; the factor cancels in the correlations.  An exactly constant
 column has no variance: its direction is dropped under the default ridge,
 and a fit at regularization 0 fails as numerically singular.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding_io import AlignedPair, NumericalError, read_only
+from .embedding_io import AlignedPair, NumericalError, _one_blas_thread, read_only
 
 # Auto ridge: this factor times the mean eigenvalue of each side's
 # auto-covariance.  |V| >> D keeps covariances well-posed, but near-duplicate
@@ -123,7 +125,8 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
     ``None`` (the default) applies ``RIDGE_FACTOR`` times each side's mean
     eigenvalue.  Eigenvalues that stay below ``1e-12`` of the largest after
     the ridge are treated as zero and their directions dropped (with a
-    warning), reducing ``k``.
+    warning), reducing ``k``.  The fit runs with BLAS pinned to one thread
+    (``embedding_io._one_blas_thread``), and the count is restored after it.
     """
     n = pair.shared_count
     left, right = pair.left, pair.right
@@ -147,14 +150,14 @@ def cca_fit(pair: AlignedPair, regularization: float | None = None) -> CcaResult
     else:
         ridge_left = ridge_right = float(regularization)
 
-    w_left, dropped_left = _whitener(cov_xx, ridge_left, left.name)
-    w_right, dropped_right = _whitener(cov_yy, ridge_right, right.name)
-
-    core = w_left.T @ cov_xy @ w_right
-    try:
-        s = np.linalg.svd(core, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD of whitened cross-covariance failed: {exc}") from exc
+    with _one_blas_thread():
+        w_left, dropped_left = _whitener(cov_xx, ridge_left, left.name)
+        w_right, dropped_right = _whitener(cov_yy, ridge_right, right.name)
+        core = w_left.T @ cov_xy @ w_right
+        try:
+            s = np.linalg.svd(core, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD of whitened cross-covariance failed: {exc}") from exc
     if s.size and s[0] > 1.0 + _UNIT_OVERSHOOT:
         raise NumericalError(
             f"leading canonical correlation {s[0]!r} exceeds 1; "

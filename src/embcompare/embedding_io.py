@@ -50,8 +50,12 @@ from typing import (
 import numpy as np
 
 # Rows per chunk of the covariance pass.  A constant, so the accumulation
-# order (and the result, bit for bit at a given BLAS thread count) is fixed.
+# order (and, with one-thread BLAS products, the result bit for bit) is fixed.
 _COVARIANCE_CHUNK = 2048
+
+# Rows per gather into a chunk: the indexed copy of a side's rows stays this
+# small, however many chunks are read at once.
+_GATHER_ROWS = 256
 
 # Lines per bulk conversion in parse_embedding: about this many bytes of them.
 _BLOCK_BYTES = 1 << 20
@@ -101,6 +105,61 @@ def write_csv_rows(dest: str | Path | IO, header: Sequence, rows: Iterable) -> N
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[int]:
+    """Pin numpy's OpenBLAS to one thread in the block; yield the count it had.
+
+    The count is restored in ``finally``, so also when the block raises.
+    Callers spread one-thread tasks over the yielded count.  Where numpy's
+    OpenBLAS exports no thread-count functions (:func:`_blas_threads`), or
+    its count is already one, nothing is pinned and 1 is yielded.  The count
+    is the process's: a host thread running BLAS meanwhile runs on one
+    thread too.
+    """
+    functions = _blas_threads()
+    threads = functions[0]() if functions else 1
+    if threads <= 1:
+        yield 1
+        return
+    functions[1](1)
+    try:
+        yield threads
+    finally:
+        functions[1](threads)
+
+
+@cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """``(get, set)`` for the thread count of the OpenBLAS numpy links, or None.
+
+    Looked up once, on first use, through ``ctypes`` on the library handle
+    of numpy's ``_multiarray_umath`` module, which also finds the symbols of
+    the OpenBLAS it loads: ``scipy_openblas_{get,set}_num_threads64_`` in
+    numpy 2 wheels, ``openblas_{get,set}_num_threads64_`` in numpy 1.x ones.
+    """
+    import ctypes
+    from importlib import import_module
+
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            library = ctypes.CDLL(import_module(module).__file__)
+            break
+        except (ImportError, OSError):
+            continue
+    else:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        try:
+            get = getattr(library, f"{prefix}_get_num_threads64_")
+            set_ = getattr(library, f"{prefix}_set_num_threads64_")
+        except AttributeError:
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
 
 
 def read_only(value, dtype=None) -> np.ndarray:
@@ -207,8 +266,9 @@ class AlignedPair:
         are the left, right and cross covariances.  Two-pass (Chan, Golub &
         LeVeque, 1979): column means, then ``Z.T @ Z`` per row chunk of the
         centred ``Z = [left | right]`` over the shared rows.  Each chunk of
-        them is read from both sides by index into one reused buffer, so no
-        N-sized copy is ever made; see :meth:`_moments`.  Raises
+        them is read from both sides by index into a reused buffer, one per
+        BLAS thread, so no N-sized copy is ever made; see :meth:`_moments`.
+        The bits are those of one-thread BLAS products.  Raises
         :class:`NumericalError` when a side's values are too large for its
         sums or products to stay finite in float64.
         """
@@ -226,30 +286,32 @@ class AlignedPair:
         d = self.left.n_dims
         return slice(None, d), slice(d, None)
 
-    def _chunks(self, buf: np.ndarray) -> Iterator[np.ndarray]:
-        """Each run of up to ``_COVARIANCE_CHUNK`` shared rows as ``[left | right]``,
-        read into ``buf[1:]`` (row 0 is left to the caller)."""
-        sides = (self.left, self.right)
-        for start in range(0, self.shared_count, _COVARIANCE_CHUNK):
-            stop = min(start + _COVARIANCE_CHUNK, self.shared_count)
-            chunk = buf[1 : stop - start + 1]
-            for side, rows, cols in zip(sides, self._rows, self._columns):
+    def _chunk(self, start: int, buf: np.ndarray) -> np.ndarray:
+        """The run of up to ``_COVARIANCE_CHUNK`` shared rows from ``start`` as
+        ``[left | right]``, read into ``buf[1:]`` (row 0 is left to the caller)
+        ``_GATHER_ROWS`` rows at a time."""
+        stop = min(start + _COVARIANCE_CHUNK, self.shared_count)
+        chunk = buf[1 : stop - start + 1]
+        for side, rows, cols in zip((self.left, self.right), self._rows, self._columns):
+            for at in range(start, stop, _GATHER_ROWS):
+                block = rows[at : min(at + _GATHER_ROWS, stop)]
                 # gather, then copy: faster than np.take into strided columns
-                chunk[:, cols] = side.values[rows[start:stop]]
-            yield chunk
+                chunk[at - start : at - start + block.size, cols] = side.values[block]
+        return chunk
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
         """``(covariance, constant_columns)``, to the bit as read from copies
-        of the shared rows.
+        of the shared rows with one-thread BLAS products.
 
         A first pass over the chunks sums the columns and tracks their max
         and min.  Each chunk is reduced below the running sums in ``buf[0]``,
         so every column is summed row by row from 0.0, as ``mean(axis=0)``
         sums a matrix of two or more columns; a one-column side, which numpy
         sums pairwise, is read whole.  The covariance pass then centres each
-        chunk in place.  Overflow is not warned about but checked: non-finite
-        sums or covariance raise :class:`NumericalError` naming the side.
+        chunk in place and multiplies it (:meth:`_covariance_sum`).  Overflow
+        is not warned about but checked: non-finite sums or covariance raise
+        :class:`NumericalError` naming the side.
         """
         n, sides = self.shared_count, (self.left, self.right)
         width = sum(side.n_dims for side in sides)
@@ -257,7 +319,8 @@ class AlignedPair:
         total = np.zeros(width)
         hi, lo = np.full(width, -np.inf), np.full(width, np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            for chunk in self._chunks(buf):
+            for start in range(0, n, _COVARIANCE_CHUNK):
+                chunk = self._chunk(start, buf)
                 buf[0] = total
                 np.add.reduce(buf[: len(chunk) + 1], axis=0, out=total)
                 np.maximum(hi, chunk.max(axis=0), out=hi)
@@ -267,17 +330,62 @@ class AlignedPair:
                 if side.n_dims == 1:
                     mean[cols] = side.values[rows].mean(axis=0)
             self._check_finite(mean, "column sums overflow")
-            cov = np.zeros((width, width))
-            product = np.empty_like(cov)
-            for chunk in self._chunks(buf):
-                chunk -= mean
-                np.matmul(chunk.T, chunk, out=product)
-                cov += product
+            cov = self._covariance_sum(mean, buf)
         cov /= n
         self._check_finite(cov, "covariance overflows")
         constant = hi == lo
         cov.flags.writeable = constant.flags.writeable = False
         return cov, constant
+
+    def _covariance_sum(self, mean: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """``Z.T @ Z`` summed over the chunks in order, each chunk ``Z``
+        centred by ``mean``.
+
+        BLAS is pinned to one thread (:func:`_one_blas_thread`), and the
+        chunks run as that many one-thread tasks on a thread pool, at most
+        one per chunk: each gathers, centres and multiplies its chunk into a
+        product of its own, and the caller adds the products in chunk order.
+        So the sum has the bits of a one-thread BLAS, whatever the thread
+        count.  Every buffer is allocated here; the first task reuses
+        ``buf``, and each other one costs ``(2049 W + W**2) * 8`` bytes for
+        ``W`` columns.  The pool is joined before the sum returns, so the
+        process forks alone afterwards.  Where nothing is pinned, the chunks
+        run in turn on BLAS's own threads.
+        """
+        starts = range(0, self.shared_count, _COVARIANCE_CHUNK)
+        cov = np.zeros((buf.shape[1],) * 2)
+        product = np.empty_like(cov)
+        with _one_blas_thread() as threads:
+            workers = min(threads, len(starts))
+            if workers <= 1:
+                for start in starts:
+                    cov += self._product(start, mean, buf, product)
+                return cov
+            from concurrent.futures import ThreadPoolExecutor  # slow import: load on use
+
+            slots = [(buf, product)]
+            slots += [(np.empty_like(buf), np.empty_like(cov)) for _ in range(workers - 1)]
+            with ThreadPoolExecutor(workers) as pool:
+                tasks = [pool.submit(self._product, starts[k], mean, *slots[k])
+                         for k in range(workers)]
+                for k in range(len(starts)):
+                    cov += tasks[k].result()
+                    if k + workers < len(starts):  # chunk k's slot is free again
+                        tasks.append(pool.submit(
+                            self._product, starts[k + workers], mean, *slots[k % workers]
+                        ))
+        return cov
+
+    def _product(
+        self, start: int, mean: np.ndarray, buf: np.ndarray, product: np.ndarray
+    ) -> np.ndarray:
+        """The chunk from ``start``, read into ``buf`` and centred by ``mean``,
+        multiplied as ``Z.T @ Z`` into ``product``."""
+        # a pool thread does not inherit the caller's errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            chunk = self._chunk(start, buf)
+            chunk -= mean
+            return np.matmul(chunk.T, chunk, out=product)
 
     def _check_finite(self, moments: np.ndarray, what: str) -> None:
         """Raise :class:`NumericalError` naming the first side whose entries

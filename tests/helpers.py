@@ -2,12 +2,22 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import embcompare
 from embcompare import EmbeddingMatrix
 from embcompare.analogy_eval import AnalogyQuestion
+from embcompare.embedding_io import _blas_threads
+
+needs_blas_pin = pytest.mark.skipif(
+    _blas_threads() is None, reason="numpy's BLAS has no OpenBLAS thread-count functions"
+)
 
 
 def make_embedding(values, vocab=None, name="test") -> EmbeddingMatrix:
@@ -21,6 +31,36 @@ def assert_no_child_left() -> None:
     """Every child process this one started has been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def run_python(probe: str, *args, blas_threads: int | None = None, timeout: float = 120) -> str:
+    """Run ``probe`` in a fresh interpreter that imports this checkout's
+    package, with ``OPENBLAS_NUM_THREADS`` set to ``blas_threads`` if given;
+    returns its stdout.  A run past ``timeout`` seconds fails the calling
+    test (``subprocess.TimeoutExpired``) instead of stalling it."""
+    src = str(Path(embcompare.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    done = subprocess.run([sys.executable, "-c", probe, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@contextmanager
+def blas_threads_at(threads: int):
+    """Set numpy's OpenBLAS to ``threads`` threads in the block (skipping the
+    test where it has no thread-count functions); yields the count's getter."""
+    if _blas_threads() is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count functions")
+    get, set_ = _blas_threads()
+    before = get()
+    set_(threads)
+    try:
+        yield get
+    finally:
+        set_(before)
 
 
 def exclusion_fixture() -> tuple[EmbeddingMatrix, AnalogyQuestion, str]:

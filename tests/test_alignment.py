@@ -1,15 +1,13 @@
+import itertools
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import embcompare
 from embcompare import alignment
 from embcompare import (
     align_vocabularies,
@@ -25,7 +23,7 @@ from embcompare.synthgen import (
     random_permutation,
     random_sign_mask,
 )
-from helpers import make_embedding
+from helpers import make_embedding, run_python
 from oracles import (
     brute_force_assignment,
     lexicographic_assignment_by_fixing,
@@ -179,16 +177,25 @@ def test_weight_range_wider_than_float64_is_rejected():
         max_weight_assignment(np.array([[1.7e308, 0.0], [0.0, -1.7e308]]))
 
 
-def _run_python(probe: str, *args: str, timeout: float = 120) -> str:
-    """Run ``probe`` in a fresh interpreter that imports this checkout's
-    package; returns its stdout.  A run past ``timeout`` seconds fails the
-    calling test (``subprocess.TimeoutExpired``) instead of stalling it."""
-    src = str(Path(embcompare.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", probe, *args], env=env, capture_output=True,
-                          text=True, timeout=timeout)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+def test_weights_whose_sums_overflow_are_rejected():
+    # 2,000 seeded 5x5 grids of 8e307 times 0, +-0.5 or +-1: the range fits in
+    # float64, but a total or a tie-pass distance over 5 entries does not.
+    # Unguarded, 1,810 returned an infinite total, 1,854 warned, and 2 (grid
+    # 6 first) returned an assignment that was not optimal.
+    rng = np.random.default_rng(0)
+    grids = [rng.choice([0, 0.5, -0.5, 1, -1], size=(5, 5)) for _ in range(2000)]
+    perms = np.array(list(itertools.permutations(range(5))))
+    cols = np.arange(5)
+    for kappa in grids:
+        w = 8e307 * kappa
+        lo, hi = float(w.min()), float(w.max())
+        with pytest.raises(ValueError, match=re.escape(f"weight range [{lo!r}, {hi!r}]")):
+            max_weight_assignment(w)
+        # the largest scale the guard admits, 5 * (1.79e307 - -1.79e307) being
+        # finite: an optimum of the grid, with a finite total and no warning
+        assignment, total = max_weight_assignment(1.79e307 * kappa)
+        assert math.isfinite(total)
+        assert kappa[assignment, cols].sum() == kappa[perms, cols].sum(axis=1).max()
 
 
 @pytest.mark.parametrize("grid, loaded", [
@@ -202,7 +209,7 @@ def test_only_an_undecided_grid_loads_scipy(grid, loaded):
         f"max_weight_assignment(np.array({grid}))\n"
         "print([m for m in ('scipy', 'scipy.optimize') if m in sys.modules])\n"
     )
-    assert _run_python(probe).strip() == loaded
+    assert run_python(probe).strip() == loaded
 
 
 # A 0.1-step grid on which scipy's sparse LAPJV (min_weight_full_bipartite_matching,
@@ -231,7 +238,7 @@ def test_tied_grids_return_within_rounding_bound(tmp_path):
         "from embcompare.alignment import max_weight_assignment\n"
         "np.save(sys.argv[2], [max_weight_assignment(w)[1] for w in np.load(sys.argv[1])])\n"
     )
-    _run_python(probe, str(grids), str(totals), timeout=60)
+    run_python(probe, str(grids), str(totals), timeout=60)
     exact = max_assignment_totals(ints) / 10
     bound = 12 * 12 * np.finfo(np.float64).eps * ints.max(axis=(1, 2)) / 10
     assert (np.abs(np.load(totals) - exact) <= bound).all()

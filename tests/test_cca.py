@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from embcompare.synthgen import (
     random_permutation,
     random_sign_mask,
 )
-from helpers import make_embedding
+from helpers import blas_threads_at, make_embedding
 from oracles import reference_cca_correlations
 
 
@@ -263,6 +264,47 @@ def test_singular_covariance_at_zero_ridge_errors():
     assert (result.dropped_left, result.dropped_right) == (1, 0)
     # an explicit ridge well above the null eigenvalue keeps all directions
     assert cca_fit(align_vocabularies(dup, other), regularization=1e-6).k == 3
+
+
+def test_cca_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    rng = np.random.default_rng(74)
+    col = rng.standard_normal(200)
+    dup = make_embedding(np.column_stack([col, col, rng.standard_normal(200)]), name="dup")
+    pair = align_vocabularies(dup, make_embedding(rng.standard_normal((200, 3)), name="ok"))
+    pair.covariance  # the pass pins on its own
+    with blas_threads_at(2) as blas_threads:
+        seen = []
+        for name in ("eigh", "svd"):
+            def spy(*args, _call=getattr(np.linalg, name), **kwargs):
+                seen.append(blas_threads())
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        assert cca_fit(pair, regularization=1e-6).k == 3
+        assert seen == [1, 1, 1]  # both whitenings and the SVD
+        assert blas_threads() == 2
+        # a fit that raises inside the pinned block
+        with pytest.raises(NumericalError, match="positive ridge"):
+            cca_fit(pair, regularization=0.0)
+        assert blas_threads() == 2
+
+
+def test_dropped_directions_warn_left_then_right_from_the_caller():
+    rng = np.random.default_rng(75)
+    sides = []
+    for name in ("first", "second"):
+        col = rng.standard_normal(300)
+        values = np.column_stack([col, rng.standard_normal(300), col])
+        sides.append(make_embedding(values, name=name))
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        result = cca_fit(align_vocabularies(*sides))
+    assert (result.dropped_left, result.dropped_right) == (1, 1)
+    assert [str(r.message) for r in records] == [
+        "dropping 1 near-null canonical direction(s) on the first side",
+        "dropping 1 near-null canonical direction(s) on the second side",
+    ]
+    assert {r.filename for r in records} == {__file__}
 
 
 def test_tiny_ridge_drops_null_directions():

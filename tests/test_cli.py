@@ -25,7 +25,9 @@ from helpers import (
     assert_no_child_left,
     grid_fixture,
     make_embedding,
+    needs_blas_pin,
     pinned_fixture,
+    run_python,
     swapped_fixture,
     write_questions,
 )
@@ -477,6 +479,32 @@ def test_compare_thread_count_invariance(synth_files, tmp_path, capsys):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@needs_blas_pin
+@pytest.mark.parametrize("rows, dims", [(10000, 50), (5000, 300)])
+def test_compare_outputs_do_not_depend_on_blas_threads(tmp_path, capsys, rows, dims):
+    # on 2 BLAS threads the 100-column covariance moved in its last bits,
+    # and with it the matching and CCA; at 300 dimensions eigh's bits moved
+    left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+    code, _, _ = run(
+        capsys, "synth", "--rows", rows, "--dims", dims, "--seed", 3, "--transform", "linear",
+        "--sigma", 0.5, "--out-left", left, "--out-right", right,
+    )
+    assert code == 0
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        run_python(
+            "import sys, embcompare.cli; sys.exit(embcompare.cli.main(sys.argv[1:]))",
+            "compare", left, right, "--no-timestamp", "--abs-correlation", "--kde",
+            "--plots-dir", out, "--out", tmp_path / f"report{threads}.json",
+            blas_threads=threads,
+        )
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        outputs.append((files, (tmp_path / f"report{threads}.json").read_bytes()))
+    assert len(outputs[0][0]) == 8
+    assert outputs[0] == outputs[1]
 
 
 def test_compare_config_echo_round_trip(synth_files, tmp_path, capsys):

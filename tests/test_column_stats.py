@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from embcompare.column_stats import KDE_POINTS, CorrelationMatrix
 from embcompare.embedding_io import EmbeddingMatrix
 from embcompare.embedding_io import _COVARIANCE_CHUNK
 from embcompare.synthgen import random_embedding
-from helpers import make_embedding
+from helpers import blas_threads_at, make_embedding, needs_blas_pin, run_python
 from oracles import aligned, correlation_matrix_naive, gaussian_kde_scipy, moments_by_copy
 
 
@@ -64,6 +66,106 @@ def test_covariance_overflow_is_a_numerical_error(scale_left, scale_right, probl
     with pytest.raises(NumericalError, match=problem):
         cca_fit(pair)
     assert cca.NumericalError is NumericalError
+
+
+# sha256 of the covariance and of the CCA correlations of a seeded pair of
+# n x d sides; with "serial", the BLAS lookup finds nothing, so nothing is
+# pinned and the chunks run in turn.  The inputs need no BLAS to make.
+_BITS_PROBE = (
+    "import hashlib, sys\n"
+    "import numpy as np\n"
+    "from embcompare import align_vocabularies, cca_fit, embedding_io\n"
+    "from embcompare.embedding_io import EmbeddingMatrix\n"
+    "n, d, route = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]\n"
+    "if route == 'serial':\n"
+    "    embedding_io._blas_threads = lambda: None\n"
+    "rng = np.random.default_rng(3)\n"
+    "base = rng.standard_normal((n, d))\n"
+    "mixed = np.roll(base, 1, axis=1) * 2.0 + 0.5 * rng.standard_normal((n, d))\n"
+    "vocab = tuple(f'w{i}' for i in range(n))\n"
+    "pair = align_vocabularies(EmbeddingMatrix(vocab, base), EmbeddingMatrix(vocab, mixed))\n"
+    "for bits in (pair.covariance, cca_fit(pair).correlations):\n"
+    "    print(hashlib.sha256(bits.tobytes()).hexdigest())\n"
+)
+
+
+@needs_blas_pin
+@pytest.mark.parametrize("dims", [50, 151])
+def test_covariance_and_cca_bits_do_not_depend_on_blas_threads(dims):
+    # on 2 threads, BLAS's own split of the 100- and 302-column products moved
+    # the covariance's last bits, and eigh's moved CCA's
+    one, two = (
+        run_python(_BITS_PROBE, 10000, dims, "pinned", blas_threads=threads)
+        for threads in (1, 2)
+    )
+    assert one == two
+
+
+@needs_blas_pin
+def test_serial_path_gives_the_one_thread_bits():
+    # where no BLAS thread count can be set, the pass runs its chunks in turn;
+    # on one BLAS thread that gives the bits the pinned tasks give on two
+    serial = run_python(_BITS_PROBE, 10000, 151, "serial", blas_threads=1)
+    assert serial == run_python(_BITS_PROBE, 10000, 151, "pinned", blas_threads=2)
+
+
+def _spy_on_products(monkeypatch, blas_threads, fail_at=None):
+    """Record ``(BLAS threads, thread id)`` in every task of the covariance
+    pass; the task for chunk ``fail_at`` raises instead."""
+    seen = []
+    product = AlignedPair._product
+
+    def spy(pair, start, *args):
+        seen.append((blas_threads(), threading.get_ident()))
+        if start == fail_at:
+            raise RuntimeError("task failed")
+        return product(pair, start, *args)
+
+    monkeypatch.setattr(AlignedPair, "_product", spy)
+    return seen
+
+
+def test_moments_pass_runs_one_thread_tasks_and_restores_the_count(monkeypatch):
+    # three tasks on a 2-CPU host, switching threads every microsecond: a
+    # chunk read into a buffer still in use would move the covariance's bits
+    rng = np.random.default_rng(10)
+    a, b = _partial_pair(rng, 6 * _COVARIANCE_CHUNK + 5, 120, 80, extra_left=7, extra_right=11)
+    with blas_threads_at(1):
+        expected = align_vocabularies(a, b).covariance  # the chunks in turn
+    running, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with blas_threads_at(3) as blas_threads:
+            seen = _spy_on_products(monkeypatch, blas_threads)
+            pair = align_vocabularies(a, b)
+            correlation_matrix(pair)
+            assert blas_threads() == 3
+    finally:
+        sys.setswitchinterval(interval)
+    assert pair.covariance.tobytes() == expected.tobytes()
+    assert [threads for threads, _ in seen] == [1] * 7
+    tasks = {ident for _, ident in seen}
+    assert threading.get_ident() not in tasks and len(tasks) <= 3
+    assert threading.active_count() == running  # the pool is joined
+
+
+def test_moments_pass_restores_the_count_when_it_raises(monkeypatch):
+    # two chunks, so the products that overflow are made in pool threads,
+    # where numpy's overflow warnings (errors here) must stay off too
+    rng = np.random.default_rng(11)
+    values = 1.0 + np.abs(rng.standard_normal((_COVARIANCE_CHUNK + 40, 3)))
+    running = threading.active_count()
+    with blas_threads_at(2) as blas_threads:
+        with pytest.raises(NumericalError, match="left covariance overflows"):
+            correlation_matrix(_pair(values * 1e160, values))
+        assert blas_threads() == 2
+        # a task that fails inside the pool
+        _spy_on_products(monkeypatch, blas_threads, fail_at=_COVARIANCE_CHUNK)
+        a, b = _partial_pair(rng, 3 * _COVARIANCE_CHUNK, 3, 3, 0, 0)
+        with pytest.raises(RuntimeError, match="task failed"):
+            correlation_matrix(align_vocabularies(a, b))
+        assert blas_threads() == 2
+    assert threading.active_count() == running
 
 
 def test_kappa_and_cca_share_one_covariance_pass(monkeypatch):
