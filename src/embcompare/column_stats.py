@@ -10,12 +10,13 @@ whitens.  One pass over the shared rows, read by index from the two parsed
 matrices a chunk at a time, gives the column means and ranges and then the
 covariance, so the data is centred and multiplied once for both metrics
 and never copied whole.  The covariance pass multiplies its chunks as
-one-thread BLAS tasks, one per BLAS thread, and adds them in chunk order,
+one-thread BLAS tasks, at most two at once, and adds them in chunk order,
 so the grid's bits do not depend on the BLAS thread count.  It uses
-population (1/n) normalization; the factor cancels in correlations.  A column that is exactly constant over
-the shared rows (:attr:`AlignedPair.constant_columns`: max == min), or
-whose variance underflows to 0, gets correlation 0 and is flagged rather
-than producing NaN or rounding noise.
+population (1/n) normalization; the factor cancels in correlations.  A
+column that is exactly constant over the shared rows
+(:attr:`AlignedPair.constant_columns`: max == min), or whose variance
+underflows to 0, gets correlation 0 and is flagged rather than producing
+NaN or rounding noise.
 """
 from __future__ import annotations
 

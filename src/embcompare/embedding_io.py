@@ -32,6 +32,7 @@ import csv
 import io
 import os
 import pickle
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -53,8 +54,15 @@ import numpy as np
 # order (and, with one-thread BLAS products, the result bit for bit) is fixed.
 _COVARIANCE_CHUNK = 2048
 
+# Most chunks the covariance pass multiplies at once, whatever the BLAS
+# thread count.  Each beyond the first holds its own chunk and product,
+# (2049 W + W**2) * 8 bytes for W columns: 12.7 MB at W = 600, which raised
+# compare's peak RSS on two 50k x 300 files by 3.7%.  So one more fits in a
+# 5% memory budget there, and a third would not.
+_COVARIANCE_TASKS = 2
+
 # Rows per gather into a chunk: the indexed copy of a side's rows stays this
-# small, however many chunks are read at once.
+# small while two chunks are read at once.
 _GATHER_ROWS = 256
 
 # Lines per bulk conversion in parse_embedding: about this many bytes of them.
@@ -107,27 +115,42 @@ def write_csv_rows(dest: str | Path | IO, header: Sequence, rows: Iterable) -> N
         w.writerows(rows)
 
 
+# Guards the open pinned blocks of _one_blas_thread: how many there are, and
+# the BLAS thread count the first one found, which the last one restores.
+_PIN_LOCK = threading.Lock()
+_pinned = {"blocks": 0, "threads": 1}
+
+
 @contextmanager
 def _one_blas_thread() -> Iterator[int]:
     """Pin numpy's OpenBLAS to one thread in the block; yield the count it had.
 
-    The count is restored in ``finally``, so also when the block raises.
-    Callers spread one-thread tasks over the yielded count.  Where numpy's
-    OpenBLAS exports no thread-count functions (:func:`_blas_threads`), or
-    its count is already one, nothing is pinned and 1 is yielded.  The count
-    is the process's: a host thread running BLAS meanwhile runs on one
-    thread too.
+    The first block to open, in any thread, reads the count and pins it;
+    the last to close restores it, also when a block raises.  So blocks may
+    nest and overlap across threads, each runs on one thread throughout,
+    and each yields the count from before the first.  Where numpy's
+    OpenBLAS exports no thread-count functions (:func:`_blas_threads`),
+    nothing is pinned and 1 is yielded.  The count is the process's: a host
+    thread running BLAS meanwhile runs on one thread too.
     """
     functions = _blas_threads()
-    threads = functions[0]() if functions else 1
-    if threads <= 1:
+    if functions is None:
         yield 1
         return
-    functions[1](1)
+    get, set_ = functions
+    with _PIN_LOCK:
+        if _pinned["blocks"] == 0:
+            _pinned["threads"] = get()
+            set_(1)
+        _pinned["blocks"] += 1
+        threads = _pinned["threads"]
     try:
         yield threads
     finally:
-        functions[1](threads)
+        with _PIN_LOCK:
+            _pinned["blocks"] -= 1
+            if _pinned["blocks"] == 0:
+                set_(_pinned["threads"])
 
 
 @cache
@@ -267,10 +290,10 @@ class AlignedPair:
         LeVeque, 1979): column means, then ``Z.T @ Z`` per row chunk of the
         centred ``Z = [left | right]`` over the shared rows.  Each chunk of
         them is read from both sides by index into a reused buffer, one per
-        BLAS thread, so no N-sized copy is ever made; see :meth:`_moments`.
-        The bits are those of one-thread BLAS products.  Raises
-        :class:`NumericalError` when a side's values are too large for its
-        sums or products to stay finite in float64.
+        chunk multiplied at once (at most two), so no N-sized copy is ever
+        made; see :meth:`_moments`.  The bits are those of one-thread BLAS
+        products.  Raises :class:`NumericalError` when a side's values are
+        too large for its sums or products to stay finite in float64.
         """
         return self._moments[0]
 
@@ -342,21 +365,22 @@ class AlignedPair:
         centred by ``mean``.
 
         BLAS is pinned to one thread (:func:`_one_blas_thread`), and the
-        chunks run as that many one-thread tasks on a thread pool, at most
-        one per chunk: each gathers, centres and multiplies its chunk into a
-        product of its own, and the caller adds the products in chunk order.
-        So the sum has the bits of a one-thread BLAS, whatever the thread
-        count.  Every buffer is allocated here; the first task reuses
-        ``buf``, and each other one costs ``(2049 W + W**2) * 8`` bytes for
-        ``W`` columns.  The pool is joined before the sum returns, so the
-        process forks alone afterwards.  Where nothing is pinned, the chunks
-        run in turn on BLAS's own threads.
+        chunks run as one-thread tasks on a thread pool: as many as BLAS had
+        threads, but at most ``_COVARIANCE_TASKS`` and one per chunk.  Each
+        gathers, centres and multiplies its chunk into a product of its own,
+        and the caller adds the products in chunk order.  So the sum has the
+        bits of a one-thread BLAS, whatever the thread count.  Every buffer
+        is allocated here; the first task reuses ``buf``, and the other one
+        costs ``(2049 W + W**2) * 8`` bytes for ``W`` columns, on any number
+        of cores.  The pool is joined before the sum returns, so the process
+        forks alone afterwards.  Where BLAS had one thread, or nothing is
+        pinned, the chunks run in turn.
         """
         starts = range(0, self.shared_count, _COVARIANCE_CHUNK)
         cov = np.zeros((buf.shape[1],) * 2)
         product = np.empty_like(cov)
         with _one_blas_thread() as threads:
-            workers = min(threads, len(starts))
+            workers = min(threads, _COVARIANCE_TASKS, len(starts))
             if workers <= 1:
                 for start in starts:
                     cov += self._product(start, mean, buf, product)

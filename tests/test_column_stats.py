@@ -17,7 +17,7 @@ from embcompare import (
     correlation_matrix,
     histogram,
 )
-from embcompare import cca
+from embcompare import cca, embedding_io
 from embcompare.column_stats import KDE_POINTS, CorrelationMatrix
 from embcompare.embedding_io import EmbeddingMatrix
 from embcompare.embedding_io import _COVARIANCE_CHUNK
@@ -125,9 +125,11 @@ def _spy_on_products(monkeypatch, blas_threads, fail_at=None):
     return seen
 
 
-def test_moments_pass_runs_one_thread_tasks_and_restores_the_count(monkeypatch):
-    # three tasks on a 2-CPU host, switching threads every microsecond: a
-    # chunk read into a buffer still in use would move the covariance's bits
+@pytest.mark.parametrize("blas_count", [2, 8])
+def test_moments_pass_runs_one_thread_tasks_and_restores_the_count(monkeypatch, blas_count):
+    # two tasks on any BLAS thread count, switching threads every
+    # microsecond: a chunk read into a buffer still in use would move the
+    # covariance's bits
     rng = np.random.default_rng(10)
     a, b = _partial_pair(rng, 6 * _COVARIANCE_CHUNK + 5, 120, 80, extra_left=7, extra_right=11)
     with blas_threads_at(1):
@@ -135,18 +137,50 @@ def test_moments_pass_runs_one_thread_tasks_and_restores_the_count(monkeypatch):
     running, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with blas_threads_at(3) as blas_threads:
+        with blas_threads_at(blas_count) as blas_threads:
             seen = _spy_on_products(monkeypatch, blas_threads)
             pair = align_vocabularies(a, b)
             correlation_matrix(pair)
-            assert blas_threads() == 3
+            assert blas_threads() == blas_count
     finally:
         sys.setswitchinterval(interval)
     assert pair.covariance.tobytes() == expected.tobytes()
     assert [threads for threads, _ in seen] == [1] * 7
     tasks = {ident for _, ident in seen}
-    assert threading.get_ident() not in tasks and len(tasks) <= 3
+    assert threading.get_ident() not in tasks and len(tasks) <= 2
     assert threading.active_count() == running  # the pool is joined
+
+
+@needs_blas_pin
+def test_pinned_blocks_restore_the_count_when_the_last_one_closes():
+    # blocks that nest or overlap in two threads stay on one thread until
+    # the last of them closes, whichever thread opened the first, and each
+    # yields the count from before the first
+    get = embedding_io._blas_threads()[0]
+    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def second():
+        first_in.wait()
+        with embedding_io._one_blas_thread() as threads:
+            second_in.set()
+            first_out.wait()
+            seen.append((threads, get()))
+
+    with blas_threads_at(2):
+        other = threading.Thread(target=second)
+        other.start()
+        with embedding_io._one_blas_thread() as threads:
+            with embedding_io._one_blas_thread() as inner:
+                seen.append((inner, get()))
+            seen.append((threads, get()))
+            first_in.set()
+            second_in.wait()
+        seen.append((None, get()))  # the other thread's block is still open
+        first_out.set()
+        other.join()
+        seen.append((None, get()))
+    assert seen == [(2, 1), (2, 1), (None, 1), (2, 1), (None, 2)]
 
 
 def test_moments_pass_restores_the_count_when_it_raises(monkeypatch):
@@ -267,19 +301,36 @@ def test_covariance_by_index_property(n, dx, dy, extra_left, extra_right, seed, 
         _assert_moments_as_by_copy(*_partial_pair(rng, n, dx, dy, extra_left, extra_right))
 
 
-def test_kappa_and_cca_by_index_allocate_less_than_one_aligned_side():
+def _kappa_and_cca_peak(n, d):
+    """Peak bytes traced while a partially overlapping pair of n x d sides
+    is aligned and both kappa and CCA are computed."""
     rng = np.random.default_rng(6)
-    n, d = 20_000, 32
     a, b = _partial_pair(rng, n, d, d, extra_left=2_000, extra_right=2_000)
     tracemalloc.start()
     try:
         pair = align_vocabularies(a, b)
         correlation_matrix(pair)
         cca_fit(pair)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_kappa_and_cca_by_index_allocate_less_than_one_aligned_side():
+    n, d = 20_000, 32
+    peak = _kappa_and_cca_peak(n, d)
     assert peak < n * d * 8, peak
+
+
+def test_kappa_and_cca_allocate_no_more_on_more_blas_threads():
+    # the pass multiplies at most two chunks at once, whatever the count
+    n, d = 20_000, 32
+    with blas_threads_at(2):
+        two = _kappa_and_cca_peak(n, d)
+    with blas_threads_at(8):
+        eight = _kappa_and_cca_peak(n, d)
+    assert eight < n * d * 8, eight
+    assert eight <= two * 1.05, (two, eight)
 
 
 def test_correlation_matrix_self_has_unit_diagonal():
