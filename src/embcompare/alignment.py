@@ -20,7 +20,10 @@ do not depend on which optimum the solver lands on.  The tie pass needs
 dual potentials, which the solver does not return; they are recovered from
 its optimal assignment as shortest-path distances over the columns
 (Bellman-Ford), and every optimum is then a perfect matching on the edges
-those potentials make tight.
+those potentials make tight.  An edge lies on some optimum exactly when
+it is tight and inside one strong component (Dulmage & Mendelsohn 1958;
+Tassa 2012), so the components are labelled once and the pass searches
+only those edges.
 """
 from __future__ import annotations
 
@@ -115,12 +118,16 @@ def _tight_edges(cost: np.ndarray, col_to_row: np.ndarray) -> np.ndarray:
 
 def _augment(
     col: int,
-    tight_rows: list[np.ndarray],
+    target: int,
+    tight_rows: list[list[int]],
     col_of_row: np.ndarray,
     row_of_col: np.ndarray,
     blocked: np.ndarray,
 ) -> bool:
-    """Find an alternating path re-matching ``col``; rewires in place.
+    """Find an alternating path on which ``col`` takes a new row, that row's
+    column another, and so on until a column takes row ``target``; on
+    success, rewire the path's columns in place (``target``'s old column
+    is left to the caller).
 
     Depth-first over an explicit stack, so the path length is not bounded
     by the recursion limit.  Rows in ``blocked`` are never taken, and every
@@ -139,7 +146,7 @@ def _augment(
             continue
         blocked[r] = True
         taken.append(r)
-        if col_of_row[r] < 0:
+        if r == target:
             col_of_row[taken] = cols
             row_of_col[cols] = taken
             return True
@@ -148,20 +155,17 @@ def _augment(
     return False
 
 
-def _components(tight: np.ndarray, row_of_col: np.ndarray, n_fixed: int) -> np.ndarray:
+def _components(tight: np.ndarray, row_of_col: np.ndarray) -> np.ndarray:
     """Strong-component labels of the graph with an arc ``c -> c'`` wherever
     column ``c`` can take column ``c'``'s row over a tight edge.
 
-    Columns below ``n_fixed`` keep their rows, so no arc enters them.  A
-    tight edge lies on some optimal assignment exactly when it joins two
-    columns of one component.
+    A tight edge lies on some optimal assignment exactly when it joins two
+    columns of one component (Dulmage & Mendelsohn 1958).
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
-    graph = tight[row_of_col].T
-    graph[:, :n_fixed] = False
-    return connected_components(csr_array(graph), connection="strong")[1]
+    return connected_components(csr_array(tight[row_of_col].T), connection="strong")[1]
 
 
 def _lexicographically_smallest(
@@ -171,46 +175,40 @@ def _lexicographically_smallest(
     smallest one.
 
     Any perfect matching on tight edges is optimal (complementary
-    slackness), so we greedily rebuild the matching column by column,
-    always taking the smallest row whose column shares the current
-    column's strong component.  Fixing a column can split its component;
-    a failed re-match recomputes the stale labels.  If the tolerance let a
-    near-tie through, the exact total-weight comparison at the end rejects
-    the refined matching.
+    slackness) and uses only the optimal edges: the tight edges inside one
+    strong component, labelled once.  We greedily rebuild the matching
+    column by column, giving each column the smallest optimal row that an
+    alternating path through the columns not yet fixed can free.  Fixing
+    columns only removes optima, so the first labelling's edges hold every
+    later one.  If the tolerance let a near-tie through, the exact
+    total-weight comparison at the end rejects the refined matching.
     """
     n = tight.shape[0]
-    labels = _components(tight, col_to_row, 0)
+    labels = _components(tight, col_to_row)
     if np.bincount(labels).max() == 1:
         return col_to_row
 
-    tight_rows = [np.flatnonzero(tight[:, j]) for j in range(n)]
     row_of_col = col_to_row.copy()
     col_of_row = np.empty(n, dtype=np.intp)
     col_of_row[row_of_col] = np.arange(n)
+    optimal = tight & (labels[col_of_row][:, None] == labels)
+    tight_rows = [np.flatnonzero(c).tolist() for c in optimal.T]
     fixed_rows = np.zeros(n, dtype=bool)
 
     for d in range(n):
+        # rows fixed, or found unable to free d's row: a failed search
+        # leaves every row it visits blocked, and none of them can
+        blocked = fixed_rows.copy()
+        current = row_of_col[d]
         for r in tight_rows[d]:
-            if r >= row_of_col[d]:
+            if r >= current:
                 break
-            displaced = col_of_row[r]
-            if fixed_rows[r] or labels[displaced] != labels[d]:
+            if blocked[r]:
                 continue
-            blocked = fixed_rows | (labels[col_of_row] != labels[d])
             blocked[r] = True
-            freed = row_of_col[d]
-            # tentatively give row r to column d and re-match the column
-            # that loses it (the freed row is the only available one)
-            col_of_row[freed] = -1
-            col_of_row[r] = d
-            row_of_col[d] = r
-            if _augment(displaced, tight_rows, col_of_row, row_of_col, blocked):
+            if _augment(col_of_row[r], current, tight_rows, col_of_row, row_of_col, blocked):
+                col_of_row[r], row_of_col[d] = d, r
                 break
-            # revert
-            col_of_row[r] = displaced
-            col_of_row[freed] = d
-            row_of_col[d] = freed
-            labels = _components(tight, row_of_col, d)
         fixed_rows[row_of_col[d]] = True
 
     cols = np.arange(n)

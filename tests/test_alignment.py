@@ -244,6 +244,79 @@ def test_tied_grids_return_within_rounding_bound(tmp_path):
     assert (np.abs(np.load(totals) - exact) <= bound).all()
 
 
+def test_tie_pass_labels_strong_components_once(monkeypatch):
+    # fixing columns splits components, but the edges the first labelling
+    # keeps still hold every later optimum, so no relabel is needed
+    calls = []
+    components = alignment._components
+
+    def spy(*args):
+        calls.append(args)
+        return components(*args)
+
+    monkeypatch.setattr(alignment, "_components", spy)
+    rng = np.random.default_rng(0)
+    half_steps = np.abs(np.rint(2 * rng.standard_normal((40, 40)))) / 2
+    for w in (np.array(TIED_GRID_TIMES_10) / 10, half_steps):
+        calls.clear()
+        assignment, total = max_weight_assignment(w)
+        expected, best = lexicographic_assignment_by_fixing(w)
+        assert assignment.tolist() == expected.tolist()
+        assert total == best
+        assert len(calls) == 1
+
+
+def test_tie_pass_searches_only_the_optimal_edges(monkeypatch):
+    # 15 edges are tight here, but only 7 lie on some optimum; the
+    # re-match searches see exactly those 7
+    w = np.array([[1, 1, 1, 1, 2], [1, 1, 1, 1, 2], [0, 1, 1, 2, 2],
+                  [0, 2, 2, 1, 0], [1, 0, 2, 2, 2]], dtype=float)
+    searched = []
+    augment = alignment._augment
+
+    def spy(col, target, tight_rows, *rest):
+        searched.append([list(rows) for rows in tight_rows])
+        return augment(col, target, tight_rows, *rest)
+
+    monkeypatch.setattr(alignment, "_augment", spy)
+    perms = list(itertools.permutations(range(5)))
+    totals = [w[perm, range(5)].sum() for perm in perms]
+    optima = [perm for perm, total in zip(perms, totals) if total == max(totals)]
+    assert max_weight_assignment(w)[0].tolist() == list(min(optima))
+    assert searched
+    for rows in searched:
+        assert rows == [sorted({perm[c] for perm in optima}) for c in range(5)]
+
+
+def test_large_tied_zero_block_returns_in_time(tmp_path):
+    # half the rows and half the columns are zero, so most edges are tight
+    # and the grid has a vast number of optima; re-match searches over every
+    # tight edge, each candidate row searched afresh, took 10 s here on
+    # 2 vCPUs against 1 s.  The solve runs in a child process: a hang or a
+    # search that blows up fails by timeout
+    rng = np.random.default_rng(11)
+    n = 1000
+    w = 0.05 * np.abs(rng.standard_normal((n, n)))
+    w[rng.choice(n, n // 2, replace=False)] = 0.0
+    w[:, rng.choice(n, n // 2, replace=False)] = 0.0
+    probe = (
+        "import sys, numpy as np\n"
+        "from embcompare.alignment import max_weight_assignment\n"
+        "np.save(sys.argv[2], max_weight_assignment(np.load(sys.argv[1]))[0])\n"
+    )
+    grid, out = tmp_path / "grid.npy", tmp_path / "assignment.npy"
+    np.save(grid, w)
+    run_python(probe, grid, out, timeout=20)
+    assignment = np.load(out)
+    from scipy.optimize import linear_sum_assignment
+
+    cols = np.arange(n)
+    assert sorted(assignment.tolist()) == cols.tolist()
+    best = w[linear_sum_assignment(w, maximize=True)].sum()
+    bound = n * n * np.finfo(np.float64).eps * w.max()
+    assert abs(w[assignment, cols].sum() - best) <= bound
+
+
 def _dominant_grid(seed: int, n: int, gaps, signs=None) -> tuple[np.ndarray, np.ndarray]:
     """A grid in [-0.5, 0.5] whose column ``d`` has its largest entry in row
     ``rows[d]``, ``gaps[d]`` above the column's next entry; ``signs`` flips

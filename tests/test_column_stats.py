@@ -70,7 +70,10 @@ def test_covariance_overflow_is_a_numerical_error(scale_left, scale_right, probl
 
 # sha256 of the covariance and of the CCA correlations of a seeded pair of
 # n x d sides; with "serial", the BLAS lookup finds nothing, so nothing is
-# pinned and the chunks run in turn.  The inputs need no BLAS to make.
+# pinned and the chunks run in turn; with "oversubscribed", the pair is
+# compared at 4 and then at 8 BLAS threads, set at run time, where
+# OPENBLAS_NUM_THREADS would be capped at the core count.  The inputs need
+# no BLAS to make.
 _BITS_PROBE = (
     "import hashlib, sys\n"
     "import numpy as np\n"
@@ -83,9 +86,14 @@ _BITS_PROBE = (
     "base = rng.standard_normal((n, d))\n"
     "mixed = np.roll(base, 1, axis=1) * 2.0 + 0.5 * rng.standard_normal((n, d))\n"
     "vocab = tuple(f'w{i}' for i in range(n))\n"
-    "pair = align_vocabularies(EmbeddingMatrix(vocab, base), EmbeddingMatrix(vocab, mixed))\n"
-    "for bits in (pair.covariance, cca_fit(pair).correlations):\n"
-    "    print(hashlib.sha256(bits.tobytes()).hexdigest())\n"
+    "for threads in [4, 8] if route == 'oversubscribed' else [None]:\n"
+    "    if threads:\n"
+    "        get, set_ = embedding_io._blas_threads()\n"
+    "        set_(threads)\n"
+    "        assert get() == threads, get()\n"
+    "    pair = align_vocabularies(EmbeddingMatrix(vocab, base), EmbeddingMatrix(vocab, mixed))\n"
+    "    for bits in (pair.covariance, cca_fit(pair).correlations):\n"
+    "        print(hashlib.sha256(bits.tobytes()).hexdigest())\n"
 )
 
 
@@ -99,6 +107,15 @@ def test_covariance_and_cca_bits_do_not_depend_on_blas_threads(dims):
         for threads in (1, 2)
     )
     assert one == two
+
+
+@needs_blas_pin
+@pytest.mark.parametrize("dims", [50, 151])
+def test_covariance_and_cca_bits_at_more_blas_threads_than_cores(dims):
+    # the pass runs its two tasks and CCA its one thread at 4 and 8 BLAS
+    # threads too, whatever the core count
+    one = run_python(_BITS_PROBE, 10000, dims, "pinned", blas_threads=1)
+    assert run_python(_BITS_PROBE, 10000, dims, "oversubscribed") == one * 2
 
 
 @needs_blas_pin

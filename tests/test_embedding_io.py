@@ -6,6 +6,7 @@ import signal
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -976,3 +977,43 @@ def test_at_once_child_that_sends_nothing_fails_cleanly(tmp_path, no_hang):
         embedding_io._at_once(lambda: os._exit(3), right.touch, "left.txt")
     assert right.exists()
     assert_no_child_left()
+
+
+# ------------------------------------------------------ _blas_threads (the BLAS lookup)
+
+
+@pytest.mark.parametrize("missing_module", [None, "numpy._core._multiarray_umath"])
+@pytest.mark.parametrize("prefix", ["openblas", None])
+def test_blas_lookup_on_other_numpy_builds(monkeypatch, missing_module, prefix):
+    # numpy 1.x wheels: the extension lives under numpy.core and its OpenBLAS
+    # exports openblas_* names; a library with neither pair gives None
+    import ctypes
+    import importlib
+
+    names = [f"{prefix}_get_num_threads64_", f"{prefix}_set_num_threads64_"] if prefix else []
+    # a library handle exporting only these functions
+    exported = [*names, "openblas_get_num_threads"]
+    library = SimpleNamespace(**{name: mock.Mock() for name in exported})
+    opened = []
+
+    def import_module(name):
+        if name == missing_module:
+            raise ImportError(name)
+        return mock.Mock(__file__=f"{name}.so")
+
+    def cdll(path):
+        opened.append(path)
+        return library
+
+    monkeypatch.setattr(importlib, "import_module", import_module)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    found = embedding_io._blas_threads.__wrapped__()
+    expected_module = "numpy.core" if missing_module else "numpy._core"
+    assert opened == [f"{expected_module}._multiarray_umath.so"]
+    if prefix is None:
+        assert found is None
+    else:
+        get, set_ = found
+        assert (get, set_) == tuple(getattr(library, name) for name in names)
+        assert (get.restype, get.argtypes) == (ctypes.c_int, [])
+        assert (set_.restype, set_.argtypes) == (None, [ctypes.c_int])
