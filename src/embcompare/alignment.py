@@ -2,8 +2,12 @@
 
 The score of a matching ``a`` is the mean of the matched correlations
 ``kappa[a_d, d]``; the solver finds the permutation maximizing that mean,
-with ``scipy.optimize.linear_sum_assignment`` (Crouse's shortest augmenting
-path method, after Jonker & Volgenant 1987), O(D^3) on the dense grid.
+with scipy's ``linear_sum_assignment`` (Crouse's shortest augmenting path
+method, after Jonker & Volgenant 1987), O(D^3) on the dense grid.  The
+solver is scipy's compiled ``scipy.optimize._lsap`` extension, loaded from
+its file on first use so that neither the ``scipy`` nor the
+``scipy.optimize`` package is imported; a host that already imported
+``scipy.optimize`` gets the same function from it.
 
 Decided grids skip the solver.  When each column's maximum sits in a row
 of its own and beats the column's second-largest entry by more than the
@@ -22,13 +26,18 @@ its optimal assignment as shortest-path distances over the columns
 (Bellman-Ford), and every optimum is then a perfect matching on the edges
 those potentials make tight.  An edge lies on some optimum exactly when
 it is tight and inside one strong component (Dulmage & Mendelsohn 1958;
-Tassa 2012), so the components are labelled once and the pass searches
-only those edges.
+Tassa 2012), so the components are labelled once, by Tarjan's algorithm,
+and the pass searches only those edges.
 """
 from __future__ import annotations
 
 import math
+import os
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
+from itertools import count
 
 import numpy as np
 
@@ -155,17 +164,48 @@ def _augment(
     return False
 
 
-def _components(tight: np.ndarray, row_of_col: np.ndarray) -> np.ndarray:
-    """Strong-component labels of the graph with an arc ``c -> c'`` wherever
-    column ``c`` can take column ``c'``'s row over a tight edge.
+def _components(successors: list[list[int]]) -> np.ndarray:
+    """Strong-component labels of the graph with an arc ``c -> c'`` for each
+    ``c'`` in ``successors[c]``.
 
-    A tight edge lies on some optimal assignment exactly when it joins two
-    columns of one component (Dulmage & Mendelsohn 1958).
+    The tie pass's graph has an arc ``c -> c'`` wherever column ``c`` can
+    take column ``c'``'s row over a tight edge; a tight edge lies on some
+    optimal assignment exactly when it joins two columns of one component
+    (Dulmage & Mendelsohn 1958).  Tarjan's algorithm (1972), depth-first
+    over an explicit stack, so the path length is not bounded by the
+    recursion limit; O(vertices + arcs).
     """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
-    return connected_components(csr_array(tight[row_of_col].T), connection="strong")[1]
+    n = len(successors)
+    order = [-1] * n  # discovery index
+    low = [0] * n  # smallest index reachable within the search subtree
+    labels = [-1] * n
+    stack: list[int] = []  # discovered vertices not yet given a component
+    discovered, components = count(), 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = next(discovered)
+        stack.append(root)
+        path = [(root, iter(successors[root]))]
+        while path:
+            v, arcs = path[-1]
+            for w in arcs:
+                if order[w] < 0:
+                    order[w] = low[w] = next(discovered)
+                    stack.append(w)
+                    path.append((w, iter(successors[w])))
+                    break
+                if labels[w] < 0 and order[w] < low[v]:  # w is on the stack
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:  # v roots a component: pop it
+                    while labels[v] < 0:
+                        labels[stack.pop()] = components
+                    components += 1
+    return np.array(labels, dtype=np.intp)
 
 
 def _lexicographically_smallest(
@@ -184,7 +224,7 @@ def _lexicographically_smallest(
     total-weight comparison at the end rejects the refined matching.
     """
     n = tight.shape[0]
-    labels = _components(tight, col_to_row)
+    labels = _components([np.flatnonzero(c).tolist() for c in tight[col_to_row].T])
     if np.bincount(labels).max() == 1:
         return col_to_row
 
@@ -237,7 +277,9 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
     exceed their column's second-largest entry by more than
     ``1e-9 * max(1, w.max() - w.min())``, returns the column maxima: the
     solver's result, found without loading scipy.  Every other matrix,
-    ``n == 1`` included, goes to the solver.
+    ``n == 1`` included, goes to the solver, scipy's compiled
+    ``linear_sum_assignment``, loaded without importing the ``scipy`` or
+    ``scipy.optimize`` package (:func:`_linear_sum_assignment`).
 
     Raises ``ValueError`` naming the range where a sum could overflow
     float64: the total and the tie pass's sums reach ``n * max|w|`` and
@@ -270,11 +312,61 @@ def max_weight_assignment(weights: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _solved(w: np.ndarray) -> np.ndarray:
     """The lexicographically smallest optimum of ``max_weight_assignment``'s
-    validated ``w``, found by ``linear_sum_assignment`` and the tie pass."""
-    from scipy.optimize import linear_sum_assignment  # slow import: load on use
-
+    validated ``w``, found by scipy's ``linear_sum_assignment``
+    (:func:`_linear_sum_assignment`) and the tie pass."""
+    linear_sum_assignment = _linear_sum_assignment()
     col_to_row = np.argsort(linear_sum_assignment(w, maximize=True)[1])  # rows come sorted
     return _lexicographically_smallest(w, col_to_row, _tight_edges(w.max() - w, col_to_row))
+
+
+@cache
+def _linear_sum_assignment() -> Callable:
+    """scipy's ``linear_sum_assignment``, looked up once, on first use.
+
+    A host that imported ``scipy.optimize`` gets that module's function.
+    Otherwise the compiled ``scipy.optimize._lsap`` extension, which
+    ``scipy.optimize`` re-exports, is loaded from its file
+    (:func:`_lsap_file`) under its own name, so neither package's
+    ``__init__`` runs: those imports took 0.4-0.6 s and 49 MiB in a fresh
+    process, against the solve's 0.05 s at D = 1000.  A later ``import
+    scipy.optimize`` reuses the loaded extension.  Where no such file or
+    function exists, the public import is the fallback.
+    """
+    optimize = sys.modules.get("scipy.optimize")
+    if optimize is not None:
+        return optimize.linear_sum_assignment
+    if (path := _lsap_file()) is not None:
+        from importlib.machinery import ExtensionFileLoader
+        from importlib.util import module_from_spec, spec_from_loader
+
+        loader = ExtensionFileLoader("scipy.optimize._lsap", path)
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+        if hasattr(module, "linear_sum_assignment"):
+            sys.modules[loader.name] = module
+            return module.linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
+def _lsap_file() -> str | None:
+    """Path of scipy's ``scipy/optimize/_lsap`` extension module, or None.
+
+    Found in the directory of the ``scipy`` package's import spec, which
+    ``find_spec`` reads without importing anything, under each of this
+    interpreter's extension-module suffixes.
+    """
+    from importlib.machinery import EXTENSION_SUFFIXES
+    from importlib.util import find_spec
+
+    spec = find_spec("scipy")
+    for directory in (spec and spec.submodule_search_locations) or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
 
 
 def one_to_one_score(kappa: CorrelationMatrix, use_abs: bool = False) -> Matching:

@@ -9,7 +9,8 @@ explicit coincidence matrix for the agreement coefficient, a
 textbook line-at-a-time ``str.split`` + ``float()`` parse of text embeddings,
 a one-``str``-row-at-a-time ``%`` writer of them,
 analogy answers scored one question at a time instead of in blocks, and
-scipy's ``gaussian_kde`` for the windowed numpy KDE.
+scipy's ``gaussian_kde`` for the windowed numpy KDE, and scipy's
+compiled ``connected_components`` for the tie pass's Tarjan labelling.
 """
 from __future__ import annotations
 
@@ -115,6 +116,18 @@ def max_assignment_totals(grids: np.ndarray) -> np.ndarray:
             nxt = free | (1 << r)
             best[nxt] = np.maximum(best[nxt], best[free] + t[:, r, k])
     return best[-1]
+
+
+def strong_components(arcs: np.ndarray) -> np.ndarray:
+    """Strong-component labels of the graph with an arc ``c -> c'`` wherever
+    ``arcs[c, c']``, from ``scipy.sparse.csgraph.connected_components``
+    (compiled Pearce's algorithm on a sparse array) instead of the
+    library's Python Tarjan over successor lists.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(csr_array(arcs), connection="strong")[1]
 
 
 def gaussian_kde_scipy(vals, xs) -> np.ndarray:

@@ -28,6 +28,7 @@ from oracles import (
     brute_force_assignment,
     lexicographic_assignment_by_fixing,
     max_assignment_totals,
+    strong_components,
 )
 
 
@@ -199,7 +200,8 @@ def test_weights_whose_sums_overflow_are_rejected():
 
 
 @pytest.mark.parametrize("grid, loaded", [
-    ("[[1.0, 1.0], [1.0, 0.0]]", "['scipy', 'scipy.optimize']"),  # tied: the solver route
+    # tied: the solver route loads scipy's compiled solver and no scipy package
+    ("[[1.0, 1.0], [1.0, 0.0]]", "['scipy.optimize._lsap']"),
     ("[[1.0, 0.0], [0.0, 1.0]]", "[]"),  # decided by its column maxima
 ], ids=["undecided", "decided"])
 def test_only_an_undecided_grid_loads_scipy(grid, loaded):
@@ -207,9 +209,65 @@ def test_only_an_undecided_grid_loads_scipy(grid, loaded):
         "import sys, numpy as np\n"
         "from embcompare.alignment import max_weight_assignment\n"
         f"max_weight_assignment(np.array({grid}))\n"
-        "print([m for m in ('scipy', 'scipy.optimize') if m in sys.modules])\n"
+        "for package in ('scipy', 'scipy.optimize', 'scipy.sparse'):\n"
+        "    assert package not in sys.modules, package\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert run_python(probe).strip() == loaded
+
+
+def test_solver_extension_is_the_one_scipy_optimize_exports():
+    # a host importing scipy.optimize after a solver-route match gets the
+    # very function the matching used, and the extension module resolves
+    probe = (
+        "import importlib, numpy as np\n"
+        "from embcompare import alignment\n"
+        "alignment.max_weight_assignment(np.array([[1.0, 1.0], [1.0, 0.0]]))\n"
+        "solver = alignment._linear_sum_assignment()\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize import _lsap\n"
+        "assert importlib.import_module('scipy.optimize._lsap') is _lsap\n"
+        "print(solver is scipy.optimize.linear_sum_assignment is _lsap.linear_sum_assignment)\n"
+    )
+    assert run_python(probe).strip() == "True"
+
+
+def test_host_that_imported_scipy_optimize_gets_its_function():
+    probe = (
+        "import numpy as np, scipy.optimize\n"
+        "from embcompare import alignment\n"
+        "def no_file():\n"
+        "    raise AssertionError('looked for the extension file')\n"
+        "alignment._lsap_file = no_file\n"
+        "assignment, _ = alignment.max_weight_assignment(np.array([[1.0, 1.0], [1.0, 0.0]]))\n"
+        "assert assignment.tolist() == [1, 0], assignment\n"
+        "print(alignment._linear_sum_assignment() is scipy.optimize.linear_sum_assignment)\n"
+    )
+    assert run_python(probe).strip() == "True"
+
+
+def test_without_the_extension_file_the_public_solver_gives_the_same_assignments(tmp_path):
+    rng = np.random.default_rng(3)
+    grids = tmp_path / "grids.npz"
+    np.savez(grids, tied=np.array(TIED_GRID_TIMES_10) / 10,
+             mixed=np.abs(rng.standard_normal((300, 300))))
+    probe = (
+        "import json, sys, numpy as np\n"
+        "from embcompare import alignment\n"
+        "if sys.argv[2] == 'fallback':\n"
+        "    alignment._lsap_file = lambda: None\n"
+        "grids = np.load(sys.argv[1])\n"
+        "out = {k: alignment.max_weight_assignment(grids[k])[0].tolist() for k in grids}\n"
+        "out['loaded'] = sorted(m for m in ('scipy.optimize', 'scipy.optimize._lsap')\n"
+        "                       if m in sys.modules)\n"
+        "print(json.dumps(out))\n"
+    )
+    by_file = json.loads(run_python(probe, grids, "file"))
+    fallback = json.loads(run_python(probe, grids, "fallback"))
+    assert by_file.pop("loaded") == ["scipy.optimize._lsap"]
+    assert fallback.pop("loaded") == ["scipy.optimize", "scipy.optimize._lsap"]
+    assert fallback == by_file
+    assert by_file["tied"] == lexicographic_assignment_by_fixing(np.array(TIED_GRID_TIMES_10))[0].tolist()
 
 
 # A 0.1-step grid on which scipy's sparse LAPJV (min_weight_full_bipartite_matching,
@@ -286,6 +344,74 @@ def test_tie_pass_searches_only_the_optimal_edges(monkeypatch):
     assert searched
     for rows in searched:
         assert rows == [sorted({perm[c] for perm in optima}) for c in range(5)]
+
+
+def _same_partition(labels, expected) -> bool:
+    labels, expected = np.asarray(labels), np.asarray(expected)
+    return bool(((labels[:, None] == labels) == (expected[:, None] == expected)).all())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       density=st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 0.8]))
+def test_components_match_the_compiled_labelling(seed, n, density):
+    # a tie pass's tight graph: a planted perfect matching plus extra edges
+    rng = np.random.default_rng(seed)
+    row_of_col = rng.permutation(n)
+    tight = rng.random((n, n)) < density
+    tight[row_of_col, np.arange(n)] = True
+    arcs = tight[row_of_col].T  # column c can take column c''s row
+    labels = alignment._components([np.flatnonzero(a).tolist() for a in arcs])
+    assert _same_partition(labels, strong_components(arcs))
+
+
+def test_components_of_a_long_cycle_need_no_recursion():
+    # the depth-first search walks all 50,000 columns in one path
+    n = 50_000
+    labels = alignment._components([[(c + 1) % n] for c in range(n)])
+    assert labels.tolist() == [0] * n
+    # the same path without its closing arc: every column is its own component
+    labels = alignment._components([[c + 1] for c in range(n - 1)] + [[]])
+    assert sorted(labels.tolist()) == list(range(n))
+
+
+def _tie_pass_grid(kind: str, n: int, seed: int) -> np.ndarray:
+    """A D = ``n`` grid of one of the tie pass's stress kinds."""
+    rng = np.random.default_rng(seed)
+    normal = rng.standard_normal((n, n))
+    if kind == "zero_block":
+        w = 0.05 * np.abs(normal)
+        w[rng.choice(n, n // 3, replace=False)] = 0.0
+        w[:, rng.choice(n, n // 3, replace=False)] = 0.0
+        return w
+    return {
+        "tenth_step": np.abs(np.rint(10 * normal)) / 10,
+        "half_step": np.abs(np.rint(2 * normal)) / 2,
+        "three_level": rng.integers(0, 3, (n, n)) / 2,
+        "two_percent_ones": (rng.random((n, n)) < 0.02).astype(float),
+        "continuous": normal,
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["tenth_step", "half_step", "three_level",
+                                  "two_percent_ones", "zero_block", "continuous"])
+def test_components_match_the_compiled_labelling_on_tied_grids(kind, monkeypatch):
+    # the one labelling the tie pass asks for at D = 300
+    graphs = []
+    components = alignment._components
+
+    def spy(successors):
+        graphs.append(successors)
+        return components(successors)
+
+    monkeypatch.setattr(alignment, "_components", spy)
+    w = _tie_pass_grid(kind, 300, 100)
+    max_weight_assignment(w)
+    assert len(graphs) == 1
+    arcs = np.zeros((300, 300), dtype=bool)
+    for c, targets in enumerate(graphs[0]):
+        arcs[c, targets] = True
+    assert _same_partition(components(graphs[0]), strong_components(arcs))
 
 
 def test_large_tied_zero_block_returns_in_time(tmp_path):
